@@ -310,6 +310,42 @@ func BenchmarkALLoop(b *testing.B) {
 	})
 }
 
+// BenchmarkGPHyperopt measures one dense GP fit with LML hyperparameter
+// optimization in the shape the campaign service refits at every step
+// of the paper's loop: an RBF kernel from (1, 1), σn from 0.1 with the
+// default floor, 2 optimizer restarts, and n = 32 rows of the
+// Performance grid in paper coordinates (log10 size, log2 NP,
+// frequency → log10 runtime). Each op reseeds the restarts, so the LML
+// evaluation and factorization counts per op are fixed; B/op is gated
+// by scripts/benchdiff.
+func BenchmarkGPHyperopt(b *testing.B) {
+	ds, err := GeneratePerformanceDataset(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 32
+	rows := rand.New(rand.NewSource(1)).Perm(ds.Len())[:n]
+	x := mat.New(n, 3)
+	y := make([]float64, n)
+	for i, r := range rows {
+		p := ds.Row(r) // size, NP, frequency
+		x.Set(i, 0, math.Log10(p[0]))
+		x.Set(i, 1, math.Log2(p[1]))
+		x.Set(i, 2, p[2])
+		y[i] = math.Log10(ds.RespAt(RespRuntime, r))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := sampleObs()
+	for i := 0; i < b.N; i++ {
+		cfg := gp.Config{Kernel: kernel.NewRBF(1, 1), NoiseInit: 0.1, Optimize: true, Restarts: 2}
+		if _, err := gp.Fit(cfg, x, y, rand.New(rand.NewSource(2))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportObs(b, before, sampleObs())
+}
+
 // BenchmarkMultigridFMG measures the real HPGMG-FE stand-in across
 // operators — the substrate the analytic cost model is calibrated
 // against.

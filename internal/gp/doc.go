@@ -37,6 +37,16 @@
 // gauges gp.sparse.inducing; AutoModel counts its tier picks under
 // gp.automodel.*. See OBSERVABILITY.md.
 //
+// # Hyperparameter fit workspace
+//
+// A fit with Optimize set evaluates the LML and its gradient ~50–150
+// times. Each evaluation writes into one workspace — Ky, one ∂K/∂θ_j per
+// kernel hyperparameter, the Cholesky factor, Ky⁻¹ and α — that the
+// fit allocates once and drops when it returns. The workspace is local
+// to the fit: the GP keeps no reference to it, so a held model's heap
+// does not grow, and evaluations through it return the same bits as
+// evaluations on fresh buffers.
+//
 // # Concurrency contract
 //
 // A fitted *GP is immutable through its exported query methods
@@ -45,7 +55,10 @@
 // hyperparameters and must not race with anything, and mutating the
 // value returned by Kernel or TrainX invalidates the model. Fit,
 // Condition and Augmented construct fresh models and may run
-// concurrently with each other when given distinct inputs.
+// concurrently with each other when given distinct inputs. The fit
+// workspace changes none of this: each fit owns its own, and
+// PredictBatch still allocates its scratch per call, so concurrent
+// PredictBatch calls on one model share no mutable state.
 //
 // A fitted *SparseGP (and the *AutoModel wrapping one) follows the same
 // immutable-snapshot contract: every exported query method is

@@ -44,33 +44,66 @@ func (g *GP) hyperBounds() []optimize.Bounds {
 	return bounds
 }
 
+// lmlWorkspace holds the buffers one hyperparameter fit reuses across
+// its LML evaluations: Ky, one ∂K/∂θ_j per kernel hyperparameter, the
+// Cholesky factor, Ky⁻¹ and α. It lives only as long as the fit, so a
+// fitted GP retains none of it. Evaluations through a reused workspace
+// perform the same floating-point operations, in the same order, as
+// through a fresh one.
+type lmlWorkspace struct {
+	g      *GP
+	saved  []float64 // hyperparameters restored after every evaluation
+	ky     *mat.Dense
+	kgrads []*mat.Dense // allocated on the first gradient evaluation
+	kinv   *mat.Dense
+	ch     mat.Cholesky
+	alpha  mat.Vec
+}
+
+func (g *GP) newLMLWorkspace() *lmlWorkspace {
+	n := g.x.Rows()
+	return &lmlWorkspace{g: g, saved: g.hyperVector(), ky: mat.New(n, n), alpha: make(mat.Vec, n)}
+}
+
+// negLML evaluates -LML(θ) and, when grad is non-nil, its gradient, on
+// a fresh workspace.
+func (g *GP) negLML(theta []float64, grad []float64) float64 {
+	return g.newLMLWorkspace().negLML(theta, grad)
+}
+
 // negLML evaluates -LML(θ) and, when grad is non-nil, its gradient.
 // Gradient (Rasmussen & Williams Eq. 5.9):
 //
 //	∂LML/∂θ_j = ½ tr((ααᵀ − Ky⁻¹) ∂Ky/∂θ_j)
 //
 // with ∂Ky/∂log σn = 2σn² I. Non-PD covariance evaluates to +Inf so the
-// line search backs off rather than aborting.
-func (g *GP) negLML(theta []float64, grad []float64) float64 {
+// line search backs off rather than aborting. The GP's hyperparameters
+// are restored to their values at workspace creation before returning.
+func (ws *lmlWorkspace) negLML(theta []float64, grad []float64) float64 {
+	g := ws.g
 	lmlEvals.Inc()
-	saved := g.hyperVector()
-	defer g.setHyperVector(saved)
+	defer g.setHyperVector(ws.saved)
 	g.setHyperVector(theta)
 
 	n := g.x.Rows()
 	sn2 := math.Exp(2 * g.logSN)
 
-	var ky *mat.Dense
-	var kgrads []*mat.Dense
 	if grad != nil {
-		ky, kgrads = kernel.MatrixGrad(g.kern, g.x)
+		if ws.kgrads == nil {
+			ws.kgrads = make([]*mat.Dense, g.kern.NumHyper())
+			for j := range ws.kgrads {
+				ws.kgrads[j] = mat.New(n, n)
+			}
+			ws.kinv = mat.New(n, n)
+		}
+		kernel.MatrixGradInto(ws.ky, ws.kgrads, g.kern, g.x)
 	} else {
-		ky = kernel.Matrix(g.kern, g.x)
+		kernel.MatrixInto(ws.ky, g.kern, g.x)
 	}
-	ky.AddDiag(sn2)
-	g.addPointNoise(ky)
+	ws.ky.AddDiag(sn2)
+	g.addPointNoise(ws.ky)
 
-	ch, err := cholesky(ky)
+	ch, err := choleskyInto(&ws.ch, ws.ky)
 	if err != nil {
 		// Indefinite at these hypers: report +Inf; the optimizer's
 		// line search will shrink the step.
@@ -81,16 +114,16 @@ func (g *GP) negLML(theta []float64, grad []float64) float64 {
 		}
 		return math.Inf(1)
 	}
-	alpha := ch.SolveVec(g.y)
+	alpha := ch.SolveVecInto(ws.alpha, g.y)
 	lml := -0.5*mat.Dot(g.y, alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
 
 	if grad != nil {
-		kinv := ch.Inverse()
+		kinv := ch.InverseInto(ws.kinv)
 		// W = ααᵀ − Ky⁻¹; ∂LML/∂θ_j = ½ Σ_ij W_ij (∂Ky/∂θ_j)_ij.
 		nk := g.kern.NumHyper()
 		for j := 0; j < nk; j++ {
 			var s float64
-			kg := kgrads[j]
+			kg := ws.kgrads[j]
 			for i := 0; i < n; i++ {
 				ai := alpha[i]
 				kgRow := kg.RawRow(i)
@@ -141,7 +174,9 @@ func (g *GP) optimizeHypers(ctx context.Context, rng *rand.Rand) error {
 			x0[i] = bounds[i].Hi
 		}
 	}
-	res, err := ms.Minimize(g.negLML, x0, rng)
+	// One workspace serves every evaluation of this fit, restarts
+	// included (MultiStart runs them serially).
+	res, err := ms.Minimize(g.newLMLWorkspace().negLML, x0, rng)
 	if err != nil {
 		return fmt.Errorf("gp: hyperparameter optimization failed: %w", err)
 	}

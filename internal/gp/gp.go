@@ -250,10 +250,16 @@ func (g *GP) TrainX() *mat.Dense { return g.x }
 // algorithm for large systems on multicore machines, the plain kernel
 // otherwise.
 func cholesky(a *mat.Dense) (*mat.Cholesky, error) {
+	return choleskyInto(new(mat.Cholesky), a)
+}
+
+// choleskyInto is cholesky with the plain kernel factorizing into dst's
+// storage; the parallel kernel allocates its own.
+func choleskyInto(dst *mat.Cholesky, a *mat.Dense) (*mat.Cholesky, error) {
 	if a.Rows() >= 256 && runtime.GOMAXPROCS(0) > 2 {
 		return mat.NewCholeskyParallel(a, 0)
 	}
-	return mat.NewCholesky(a)
+	return mat.NewCholeskyInto(dst, a)
 }
 
 // factorize computes Ky = K + σn² I, its Cholesky factor, α = Ky⁻¹y and

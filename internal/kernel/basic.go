@@ -6,6 +6,7 @@ import "math"
 // Summed with another kernel it models a constant offset in the prior.
 type Constant struct {
 	logC float64
+	c2   float64 // exp(2·logC); derived by SetHyper
 }
 
 // NewConstant returns a constant kernel with value c² (c > 0).
@@ -13,16 +14,18 @@ func NewConstant(c float64) *Constant {
 	if c <= 0 {
 		panic("kernel: Constant parameter must be positive")
 	}
-	return &Constant{logC: math.Log(c)}
+	k := &Constant{}
+	k.SetHyper([]float64{math.Log(c)})
+	return k
 }
 
 // Eval implements Kernel.
-func (k *Constant) Eval(_, _ []float64) float64 { return math.Exp(2 * k.logC) }
+func (k *Constant) Eval(_, _ []float64) float64 { return k.c2 }
 
 // EvalGrad implements Kernel.
 func (k *Constant) EvalGrad(_, _ []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), 1, "Constant")
-	v := math.Exp(2 * k.logC)
+	v := k.c2
 	grad[0] = 2 * v
 	return v
 }
@@ -37,6 +40,7 @@ func (k *Constant) Hyper() []float64 { return []float64{k.logC} }
 func (k *Constant) SetHyper(theta []float64) {
 	checkHyperLen(len(theta), 1, "Constant")
 	k.logC = theta[0]
+	k.c2 = math.Exp(2 * k.logC)
 }
 
 // Bounds implements Kernel.
@@ -54,6 +58,7 @@ func (k *Constant) Name() string { return "Constant" }
 // part of a composite kernel as scikit-learn's WhiteKernel does.
 type White struct {
 	logS float64
+	s2   float64 // exp(2·logS); derived by SetHyper
 }
 
 // NewWhite returns a white-noise kernel with standard deviation s.
@@ -61,7 +66,9 @@ func NewWhite(s float64) *White {
 	if s <= 0 {
 		panic("kernel: White parameter must be positive")
 	}
-	return &White{logS: math.Log(s)}
+	k := &White{}
+	k.SetHyper([]float64{math.Log(s)})
+	return k
 }
 
 // Eval implements Kernel. Inputs are compared element-wise for exact
@@ -71,7 +78,7 @@ func (k *White) Eval(x, y []float64) float64 {
 	if !sameVec(x, y) {
 		return 0
 	}
-	return math.Exp(2 * k.logS)
+	return k.s2
 }
 
 // EvalGrad implements Kernel.
@@ -81,7 +88,7 @@ func (k *White) EvalGrad(x, y []float64, grad []float64) float64 {
 		grad[0] = 0
 		return 0
 	}
-	v := math.Exp(2 * k.logS)
+	v := k.s2
 	grad[0] = 2 * v
 	return v
 }
@@ -108,6 +115,7 @@ func (k *White) Hyper() []float64 { return []float64{k.logS} }
 func (k *White) SetHyper(theta []float64) {
 	checkHyperLen(len(theta), 1, "White")
 	k.logS = theta[0]
+	k.s2 = math.Exp(2 * k.logS)
 }
 
 // Bounds implements Kernel.
@@ -124,6 +132,7 @@ func (k *White) Name() string { return "White" }
 // as a GP.
 type Linear struct {
 	logSV float64
+	sv2   float64 // exp(2·logSV); derived by SetHyper
 }
 
 // NewLinear returns a linear kernel with slope variance sv².
@@ -131,7 +140,9 @@ func NewLinear(sv float64) *Linear {
 	if sv <= 0 {
 		panic("kernel: Linear parameter must be positive")
 	}
-	return &Linear{logSV: math.Log(sv)}
+	k := &Linear{}
+	k.SetHyper([]float64{math.Log(sv)})
+	return k
 }
 
 // Eval implements Kernel.
@@ -140,7 +151,7 @@ func (k *Linear) Eval(x, y []float64) float64 {
 	for i, xv := range x {
 		s += xv * y[i]
 	}
-	return math.Exp(2*k.logSV) * s
+	return k.sv2 * s
 }
 
 // EvalGrad implements Kernel.
@@ -161,6 +172,7 @@ func (k *Linear) Hyper() []float64 { return []float64{k.logSV} }
 func (k *Linear) SetHyper(theta []float64) {
 	checkHyperLen(len(theta), 1, "Linear")
 	k.logSV = theta[0]
+	k.sv2 = math.Exp(2 * k.logSV)
 }
 
 // Bounds implements Kernel.

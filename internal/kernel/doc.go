@@ -18,7 +18,20 @@
 //     3-variable model), NewConstant/NewWhite/NewLinear, and the
 //     NewSum/NewProduct/NewFixed composites.
 //   - Matrix / MatrixGrad / CrossMatrix: Gram-matrix assembly used by
-//     internal/gp's fit and predict paths.
+//     internal/gp's fit and predict paths; each is an allocating wrapper
+//     over its Into variant, which writes into caller-owned buffers.
+//
+// # Implementing a kernel
+//
+// Eval and EvalGrad run once per pair of points, so a kernel derives
+// every value that depends on θ alone (l = exp(log l), σf² =
+// exp(2 log σf), …) once, in its constructor and in SetHyper, and the
+// per-pair code reads the cached values. Use a cached value inside the
+// same expression the per-call code would evaluate, so caching changes
+// no output bit; TestCachedHyperBitIdentical pins this for every
+// family. SetHyper is the only way θ changes, and a kernel behind a
+// fitted GP must not be mutated at all: the model's factor was computed
+// at its θ.
 //
 // # Concurrency contract
 //

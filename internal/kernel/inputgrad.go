@@ -17,7 +17,7 @@ type InputGradient interface {
 // ∂k/∂x_d = −k · (x_d − y_d)/l².
 func (k *RBF) EvalInputGrad(x, y []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), len(x), "RBF input gradient")
-	l := math.Exp(k.logL)
+	l := k.l
 	v := k.Eval(x, y)
 	inv := 1 / (l * l)
 	for d := range x {
@@ -32,7 +32,7 @@ func (k *ARD) EvalInputGrad(x, y []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), len(x), "ARD input gradient")
 	v := k.Eval(x, y)
 	for d := range x {
-		l := math.Exp(k.logL[d])
+		l := k.l[d]
 		grad[d] = -v * (x[d] - y[d]) / (l * l)
 	}
 	return v
@@ -43,8 +43,7 @@ func (k *ARD) EvalInputGrad(x, y []float64, grad []float64) float64 {
 // ∂k/∂x_d = −σf² · (5/(3l²)) · (1 + a) e^{−a} · (x_d − y_d).
 func (k *Matern52) EvalInputGrad(x, y []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), len(x), "Matern52 input gradient")
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
+	l, sf2 := k.l, k.sf2
 	r2 := sqDist(x, y)
 	a := math.Sqrt(5*r2) / l
 	e := math.Exp(-a)
@@ -93,5 +92,5 @@ func (k *Constant) EvalInputGrad(x, _ []float64, grad []float64) float64 {
 	for i := range grad {
 		grad[i] = 0
 	}
-	return math.Exp(2 * k.logC)
+	return k.c2
 }

@@ -60,16 +60,24 @@ type Kernel interface {
 // where X holds one input point per row.
 func Matrix(k Kernel, x *mat.Dense) *mat.Dense {
 	n := x.Rows()
-	out := mat.New(n, n)
+	return MatrixInto(mat.New(n, n), k, x)
+}
+
+// MatrixInto is Matrix writing into dst, which must be n x n for the n
+// rows of x; it returns dst.
+func MatrixInto(dst *mat.Dense, k Kernel, x *mat.Dense) *mat.Dense {
+	n := x.Rows()
+	checkShape(dst, n, n, "MatrixInto")
+	out := dst.Raw()
 	for i := 0; i < n; i++ {
 		xi := x.RawRow(i)
 		for j := i; j < n; j++ {
 			v := k.Eval(xi, x.RawRow(j))
-			out.Set(i, j, v)
-			out.Set(j, i, v)
+			out[i*n+j] = v
+			out[j*n+i] = v
 		}
 	}
-	return out
+	return dst
 }
 
 // DistanceKernel is the optional interface of isotropic kernels whose
@@ -104,40 +112,63 @@ func CrossMatrixDist(k Kernel, a, b *mat.Dense) *mat.Dense {
 
 // CrossMatrix fills the n x m matrix K* with K*[i][j] = k(A_i, B_j).
 func CrossMatrix(k Kernel, a, b *mat.Dense) *mat.Dense {
-	out := mat.New(a.Rows(), b.Rows())
+	return CrossMatrixInto(mat.New(a.Rows(), b.Rows()), k, a, b)
+}
+
+// CrossMatrixInto is CrossMatrix writing into dst, which must be
+// a.Rows() x b.Rows(); it returns dst.
+func CrossMatrixInto(dst *mat.Dense, k Kernel, a, b *mat.Dense) *mat.Dense {
+	m := b.Rows()
+	checkShape(dst, a.Rows(), m, "CrossMatrixInto")
+	out := dst.Raw()
 	for i := 0; i < a.Rows(); i++ {
 		ai := a.RawRow(i)
-		for j := 0; j < b.Rows(); j++ {
-			out.Set(i, j, k.Eval(ai, b.RawRow(j)))
+		row := out[i*m : (i+1)*m]
+		for j := range row {
+			row[j] = k.Eval(ai, b.RawRow(j))
 		}
 	}
-	return out
+	return dst
 }
 
 // MatrixGrad fills K and one gradient matrix per hyperparameter:
 // grads[p][i][j] = ∂k(X_i, X_j)/∂θ_p. Used by the LML gradient.
 func MatrixGrad(k Kernel, x *mat.Dense) (kmat *mat.Dense, grads []*mat.Dense) {
 	n := x.Rows()
-	nh := k.NumHyper()
 	kmat = mat.New(n, n)
-	grads = make([]*mat.Dense, nh)
+	grads = make([]*mat.Dense, k.NumHyper())
 	for p := range grads {
 		grads[p] = mat.New(n, n)
 	}
-	g := make([]float64, nh)
+	MatrixGradInto(kmat, grads, k, x)
+	return kmat, grads
+}
+
+// MatrixGradInto is MatrixGrad writing into kmat and grads, which must
+// hold n x n matrices, one gradient matrix per hyperparameter. The LML
+// optimizer calls it once per evaluation on buffers reused across a fit.
+func MatrixGradInto(kmat *mat.Dense, grads []*mat.Dense, k Kernel, x *mat.Dense) {
+	n := x.Rows()
+	checkShape(kmat, n, n, "MatrixGradInto")
+	checkHyperLen(len(grads), k.NumHyper(), "MatrixGradInto")
+	for _, gm := range grads {
+		checkShape(gm, n, n, "MatrixGradInto")
+	}
+	out := kmat.Raw()
+	g := make([]float64, len(grads))
 	for i := 0; i < n; i++ {
 		xi := x.RawRow(i)
 		for j := i; j < n; j++ {
 			v := k.EvalGrad(xi, x.RawRow(j), g)
-			kmat.Set(i, j, v)
-			kmat.Set(j, i, v)
+			out[i*n+j] = v
+			out[j*n+i] = v
 			for p, gv := range g {
-				grads[p].Set(i, j, gv)
-				grads[p].Set(j, i, gv)
+				gr := grads[p].Raw()
+				gr[i*n+j] = gv
+				gr[j*n+i] = gv
 			}
 		}
 	}
-	return kmat, grads
 }
 
 // Variances returns the prior variance k(x_i, x_i) for each row of x.
@@ -161,6 +192,12 @@ func sqDist(x, y []float64) float64 {
 		s += d * d
 	}
 	return s
+}
+
+func checkShape(m *mat.Dense, rows, cols int, op string) {
+	if m.Rows() != rows || m.Cols() != cols {
+		panic(fmt.Sprintf("kernel: %s wants %dx%d, got %dx%d", op, rows, cols, m.Rows(), m.Cols()))
+	}
 }
 
 func checkHyperLen(got, want int, name string) {

@@ -10,6 +10,7 @@ import "math"
 // robust alternative to RBF for rough performance surfaces.
 type Matern32 struct {
 	logL, logSF float64
+	l, sf2      float64 // exp(logL), exp(2·logSF); derived by SetHyper
 }
 
 // NewMatern32 returns a Matérn-3/2 kernel with length scale l and
@@ -18,13 +19,14 @@ func NewMatern32(l, sf float64) *Matern32 {
 	if l <= 0 || sf <= 0 {
 		panic("kernel: Matern32 parameters must be positive")
 	}
-	return &Matern32{logL: math.Log(l), logSF: math.Log(sf)}
+	k := &Matern32{}
+	k.SetHyper([]float64{math.Log(l), math.Log(sf)})
+	return k
 }
 
 // Eval implements Kernel.
 func (k *Matern32) Eval(x, y []float64) float64 {
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
+	l, sf2 := k.l, k.sf2
 	a := math.Sqrt(3*sqDist(x, y)) / l
 	return sf2 * (1 + a) * math.Exp(-a)
 }
@@ -35,8 +37,7 @@ func (k *Matern32) Eval(x, y []float64) float64 {
 //	∂k/∂log σf = 2k
 func (k *Matern32) EvalGrad(x, y []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), 2, "Matern32")
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
+	l, sf2 := k.l, k.sf2
 	a := math.Sqrt(3*sqDist(x, y)) / l
 	e := math.Exp(-a)
 	v := sf2 * (1 + a) * e
@@ -55,6 +56,7 @@ func (k *Matern32) Hyper() []float64 { return []float64{k.logL, k.logSF} }
 func (k *Matern32) SetHyper(theta []float64) {
 	checkHyperLen(len(theta), 2, "Matern32")
 	k.logL, k.logSF = theta[0], theta[1]
+	k.l, k.sf2 = math.Exp(k.logL), math.Exp(2*k.logSF)
 }
 
 // Bounds implements Kernel.
@@ -73,6 +75,7 @@ func (k *Matern32) Name() string { return "Matern32" }
 // θ = [log l, log σf].
 type Matern52 struct {
 	logL, logSF float64
+	l, sf2      float64 // exp(logL), exp(2·logSF); derived by SetHyper
 }
 
 // NewMatern52 returns a Matérn-5/2 kernel with length scale l and
@@ -81,13 +84,14 @@ func NewMatern52(l, sf float64) *Matern52 {
 	if l <= 0 || sf <= 0 {
 		panic("kernel: Matern52 parameters must be positive")
 	}
-	return &Matern52{logL: math.Log(l), logSF: math.Log(sf)}
+	k := &Matern52{}
+	k.SetHyper([]float64{math.Log(l), math.Log(sf)})
+	return k
 }
 
 // Eval implements Kernel.
 func (k *Matern52) Eval(x, y []float64) float64 {
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
+	l, sf2 := k.l, k.sf2
 	r2 := sqDist(x, y)
 	a := math.Sqrt(5*r2) / l
 	return sf2 * (1 + a + a*a/3) * math.Exp(-a)
@@ -99,8 +103,7 @@ func (k *Matern52) Eval(x, y []float64) float64 {
 //	∂k/∂log σf = 2k
 func (k *Matern52) EvalGrad(x, y []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), 2, "Matern52")
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
+	l, sf2 := k.l, k.sf2
 	a := math.Sqrt(5*sqDist(x, y)) / l
 	e := math.Exp(-a)
 	v := sf2 * (1 + a + a*a/3) * e
@@ -119,6 +122,7 @@ func (k *Matern52) Hyper() []float64 { return []float64{k.logL, k.logSF} }
 func (k *Matern52) SetHyper(theta []float64) {
 	checkHyperLen(len(theta), 2, "Matern52")
 	k.logL, k.logSF = theta[0], theta[1]
+	k.l, k.sf2 = math.Exp(k.logL), math.Exp(2*k.logSF)
 }
 
 // Bounds implements Kernel.
@@ -137,6 +141,7 @@ func (k *Matern52) Name() string { return "Matern52" }
 // θ = [log l, log σf, log α].
 type RationalQuadratic struct {
 	logL, logSF, logAlpha float64
+	l, sf2, alpha         float64 // exp(logL), exp(2·logSF), exp(logAlpha); derived by SetHyper
 }
 
 // NewRationalQuadratic returns an RQ kernel with length scale l, amplitude
@@ -145,14 +150,14 @@ func NewRationalQuadratic(l, sf, alpha float64) *RationalQuadratic {
 	if l <= 0 || sf <= 0 || alpha <= 0 {
 		panic("kernel: RationalQuadratic parameters must be positive")
 	}
-	return &RationalQuadratic{logL: math.Log(l), logSF: math.Log(sf), logAlpha: math.Log(alpha)}
+	k := &RationalQuadratic{}
+	k.SetHyper([]float64{math.Log(l), math.Log(sf), math.Log(alpha)})
+	return k
 }
 
 // Eval implements Kernel.
 func (k *RationalQuadratic) Eval(x, y []float64) float64 {
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
-	alpha := math.Exp(k.logAlpha)
+	l, sf2, alpha := k.l, k.sf2, k.alpha
 	base := 1 + sqDist(x, y)/(2*alpha*l*l)
 	return sf2 * math.Pow(base, -alpha)
 }
@@ -164,9 +169,7 @@ func (k *RationalQuadratic) Eval(x, y []float64) float64 {
 //	∂k/∂log α  = k · α(u/base − log base)
 func (k *RationalQuadratic) EvalGrad(x, y []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), 3, "RationalQuadratic")
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
-	alpha := math.Exp(k.logAlpha)
+	l, sf2, alpha := k.l, k.sf2, k.alpha
 	u := sqDist(x, y) / (2 * alpha * l * l)
 	base := 1 + u
 	v := sf2 * math.Pow(base, -alpha)
@@ -188,6 +191,7 @@ func (k *RationalQuadratic) Hyper() []float64 {
 func (k *RationalQuadratic) SetHyper(theta []float64) {
 	checkHyperLen(len(theta), 3, "RationalQuadratic")
 	k.logL, k.logSF, k.logAlpha = theta[0], theta[1], theta[2]
+	k.l, k.sf2, k.alpha = math.Exp(k.logL), math.Exp(2*k.logSF), math.Exp(k.logAlpha)
 }
 
 // Bounds implements Kernel.

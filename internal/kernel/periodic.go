@@ -12,6 +12,7 @@ import "math"
 // Periodic × RBF (locally periodic).
 type Periodic struct {
 	logL, logSF, logP float64
+	l, sf2, p         float64 // exp(logL), exp(2·logSF), exp(logP); derived by SetHyper
 }
 
 // NewPeriodic returns a periodic kernel with length scale l, amplitude
@@ -20,14 +21,14 @@ func NewPeriodic(l, sf, p float64) *Periodic {
 	if l <= 0 || sf <= 0 || p <= 0 {
 		panic("kernel: Periodic parameters must be positive")
 	}
-	return &Periodic{logL: math.Log(l), logSF: math.Log(sf), logP: math.Log(p)}
+	k := &Periodic{}
+	k.SetHyper([]float64{math.Log(l), math.Log(sf), math.Log(p)})
+	return k
 }
 
 // Eval implements Kernel.
 func (k *Periodic) Eval(x, y []float64) float64 {
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
-	p := math.Exp(k.logP)
+	l, sf2, p := k.l, k.sf2, k.p
 	s := math.Sin(math.Pi * math.Sqrt(sqDist(x, y)) / p)
 	return sf2 * math.Exp(-2*s*s/(l*l))
 }
@@ -39,9 +40,7 @@ func (k *Periodic) Eval(x, y []float64) float64 {
 //	∂k/∂log p  = k · (4 s cos u · u) / l²
 func (k *Periodic) EvalGrad(x, y []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), 3, "Periodic")
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
-	p := math.Exp(k.logP)
+	l, sf2, p := k.l, k.sf2, k.p
 	r := math.Sqrt(sqDist(x, y))
 	u := math.Pi * r / p
 	s := math.Sin(u)
@@ -62,6 +61,7 @@ func (k *Periodic) Hyper() []float64 { return []float64{k.logL, k.logSF, k.logP}
 func (k *Periodic) SetHyper(theta []float64) {
 	checkHyperLen(len(theta), 3, "Periodic")
 	k.logL, k.logSF, k.logP = theta[0], theta[1], theta[2]
+	k.l, k.sf2, k.p = math.Exp(k.logL), math.Exp(2*k.logSF), math.Exp(k.logP)
 }
 
 // Bounds implements Kernel.

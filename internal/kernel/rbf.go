@@ -10,6 +10,7 @@ import "math"
 // Hyperparameters in log space: θ = [log l, log σf].
 type RBF struct {
 	logL, logSF float64
+	l, sf2      float64 // exp(logL), exp(2·logSF); derived by SetHyper
 	bounds      [2]Bounds
 }
 
@@ -19,35 +20,31 @@ func NewRBF(l, sf float64) *RBF {
 	if l <= 0 || sf <= 0 {
 		panic("kernel: RBF parameters must be positive")
 	}
-	return &RBF{
-		logL:   math.Log(l),
-		logSF:  math.Log(sf),
-		bounds: [2]Bounds{DefaultBounds, DefaultBounds},
-	}
+	k := &RBF{bounds: [2]Bounds{DefaultBounds, DefaultBounds}}
+	k.SetHyper([]float64{math.Log(l), math.Log(sf)})
+	return k
 }
 
 // SetBounds replaces the log-space search bounds for (l, sf).
 func (k *RBF) SetBounds(l, sf Bounds) { k.bounds = [2]Bounds{l, sf} }
 
 // LengthScale returns l.
-func (k *RBF) LengthScale() float64 { return math.Exp(k.logL) }
+func (k *RBF) LengthScale() float64 { return k.l }
 
 // Amplitude returns σf.
 func (k *RBF) Amplitude() float64 { return math.Exp(k.logSF) }
 
 // Eval implements Kernel.
 func (k *RBF) Eval(x, y []float64) float64 {
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
-	return sf2 * math.Exp(-sqDist(x, y)/(2*l*l))
+	l := k.l
+	return k.sf2 * math.Exp(-sqDist(x, y)/(2*l*l))
 }
 
 // EvalSq implements DistanceKernel: the kernel value as a function of
 // the squared distance alone, enabling blocked cross-matrix assembly.
 func (k *RBF) EvalSq(d2 float64) float64 {
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
-	return sf2 * math.Exp(-d2/(2*l*l))
+	l := k.l
+	return k.sf2 * math.Exp(-d2/(2*l*l))
 }
 
 // EvalGrad implements Kernel. With r² = |x-y|²:
@@ -56,10 +53,9 @@ func (k *RBF) EvalSq(d2 float64) float64 {
 //	∂k/∂log σf = 2k
 func (k *RBF) EvalGrad(x, y []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), 2, "RBF")
-	l := math.Exp(k.logL)
-	sf2 := math.Exp(2 * k.logSF)
+	l := k.l
 	r2 := sqDist(x, y)
-	v := sf2 * math.Exp(-r2/(2*l*l))
+	v := k.sf2 * math.Exp(-r2/(2*l*l))
 	grad[0] = v * r2 / (l * l)
 	grad[1] = 2 * v
 	return v
@@ -75,6 +71,7 @@ func (k *RBF) Hyper() []float64 { return []float64{k.logL, k.logSF} }
 func (k *RBF) SetHyper(theta []float64) {
 	checkHyperLen(len(theta), 2, "RBF")
 	k.logL, k.logSF = theta[0], theta[1]
+	k.l, k.sf2 = math.Exp(k.logL), math.Exp(2*k.logSF)
 }
 
 // Bounds implements Kernel.
@@ -95,6 +92,8 @@ func (k *RBF) Name() string { return "RBF" }
 type ARD struct {
 	logL   []float64
 	logSF  float64
+	l      []float64 // exp(logL[d]); derived by SetHyper
+	sf2    float64   // exp(2·logSF)
 	bounds []Bounds
 }
 
@@ -104,13 +103,16 @@ func NewARD(ls []float64, sf float64) *ARD {
 	if len(ls) == 0 {
 		panic("kernel: ARD needs at least one dimension")
 	}
-	k := &ARD{logL: make([]float64, len(ls)), logSF: math.Log(sf)}
+	k := &ARD{logL: make([]float64, len(ls)), l: make([]float64, len(ls))}
+	theta := make([]float64, len(ls)+1)
 	for i, l := range ls {
 		if l <= 0 {
 			panic("kernel: ARD length scales must be positive")
 		}
-		k.logL[i] = math.Log(l)
+		theta[i] = math.Log(l)
 	}
+	theta[len(ls)] = math.Log(sf)
+	k.SetHyper(theta)
 	k.bounds = make([]Bounds, len(ls)+1)
 	for i := range k.bounds {
 		k.bounds[i] = DefaultBounds
@@ -119,24 +121,17 @@ func NewARD(ls []float64, sf float64) *ARD {
 }
 
 // LengthScales returns the per-dimension length scales.
-func (k *ARD) LengthScales() []float64 {
-	out := make([]float64, len(k.logL))
-	for i, v := range k.logL {
-		out[i] = math.Exp(v)
-	}
-	return out
-}
+func (k *ARD) LengthScales() []float64 { return append([]float64(nil), k.l...) }
 
 // Eval implements Kernel.
 func (k *ARD) Eval(x, y []float64) float64 {
 	checkHyperLen(len(x), len(k.logL), "ARD input")
 	var s float64
 	for d, xv := range x {
-		l := math.Exp(k.logL[d])
-		dd := (xv - y[d]) / l
+		dd := (xv - y[d]) / k.l[d]
 		s += dd * dd
 	}
-	return math.Exp(2*k.logSF) * math.Exp(-0.5*s)
+	return k.sf2 * math.Exp(-0.5*s)
 }
 
 // EvalGrad implements Kernel.
@@ -144,16 +139,14 @@ func (k *ARD) EvalGrad(x, y []float64, grad []float64) float64 {
 	checkHyperLen(len(grad), k.NumHyper(), "ARD")
 	checkHyperLen(len(x), len(k.logL), "ARD input")
 	var s float64
-	scaled := make([]float64, len(x))
 	for d, xv := range x {
-		l := math.Exp(k.logL[d])
-		dd := (xv - y[d]) / l
-		scaled[d] = dd * dd
-		s += scaled[d]
+		dd := (xv - y[d]) / k.l[d]
+		grad[d] = dd * dd
+		s += grad[d]
 	}
-	v := math.Exp(2*k.logSF) * math.Exp(-0.5*s)
+	v := k.sf2 * math.Exp(-0.5*s)
 	for d := range k.logL {
-		grad[d] = v * scaled[d] // ∂k/∂log l_d = k · (x_d-y_d)²/l_d²
+		grad[d] *= v // ∂k/∂log l_d = k · (x_d-y_d)²/l_d²
 	}
 	grad[len(k.logL)] = 2 * v
 	return v
@@ -174,6 +167,10 @@ func (k *ARD) SetHyper(theta []float64) {
 	checkHyperLen(len(theta), k.NumHyper(), "ARD")
 	copy(k.logL, theta[:len(k.logL)])
 	k.logSF = theta[len(k.logL)]
+	for d, v := range k.logL {
+		k.l[d] = math.Exp(v)
+	}
+	k.sf2 = math.Exp(2 * k.logSF)
 }
 
 // Bounds implements Kernel.

@@ -34,6 +34,13 @@ type Cholesky struct {
 // Only the lower triangle of a is read. It returns
 // ErrNotPositiveDefinite if a pivot is not strictly positive.
 func NewCholesky(a *Dense) (*Cholesky, error) {
+	return NewCholeskyInto(new(Cholesky), a)
+}
+
+// NewCholeskyInto is NewCholesky factorizing into dst, whose factor
+// storage is reused when it already has the order of a. It returns dst,
+// or nil and the error; after an error dst may be passed again.
+func NewCholeskyInto(dst *Cholesky, a *Dense) (*Cholesky, error) {
 	if a.rows != a.cols {
 		panic(fmt.Sprintf("mat: Cholesky of non-square %dx%d", a.rows, a.cols))
 	}
@@ -42,9 +49,14 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 	choleskySize.Observe(float64(n))
 	start := time.Now()
 	defer func() { choleskyDur.Observe(time.Since(start).Seconds()) }()
-	l := New(n, n)
+	if dst.l == nil || dst.l.rows != n || dst.l.cols != n {
+		dst.l = New(n, n)
+	}
+	dst.n = n
+	l := dst.l
 	for i := 0; i < n; i++ {
 		lrow := l.data[i*n : (i+1)*n]
+		clear(lrow[i+1:]) // upper strictly zero, whatever dst held before
 		for j := 0; j <= i; j++ {
 			s := a.data[i*n+j]
 			ljrow := l.data[j*n : (j+1)*n]
@@ -61,7 +73,7 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 			}
 		}
 	}
-	return &Cholesky{l: l, n: n}, nil
+	return dst, nil
 }
 
 // NewCholeskyJitter factorizes a, retrying with exponentially growing
@@ -111,11 +123,19 @@ func (c *Cholesky) L() *Dense { return c.l }
 
 // SolveVec solves A·x = b and returns x.
 func (c *Cholesky) SolveVec(b Vec) Vec {
-	if len(b) != c.n {
-		panic(fmt.Sprintf("mat: Cholesky SolveVec length %d != %d", len(b), c.n))
+	return c.SolveVecInto(make(Vec, c.n), b)
+}
+
+// SolveVecInto is SolveVec writing x into dst (len n, may alias b); it
+// returns dst.
+func (c *Cholesky) SolveVecInto(dst, b Vec) Vec {
+	if len(b) != c.n || len(dst) != c.n {
+		panic(fmt.Sprintf("mat: Cholesky SolveVec lengths dst %d, b %d != %d", len(dst), len(b), c.n))
 	}
-	y := ForwardSubst(c.l, b)
-	return BackSubstT(c.l, y)
+	copy(dst, b)
+	forwardSubstInPlace(c.l, dst, 0)
+	backSubstTInPlace(c.l, dst)
+	return dst
 }
 
 // Solve solves A·X = B column-by-column and returns X.
@@ -149,7 +169,32 @@ func (c *Cholesky) LogDet() float64 {
 // Inverse returns A⁻¹ as a dense matrix. Prefer SolveVec when only products
 // with A⁻¹ are needed; the explicit inverse is used by the LML gradient.
 func (c *Cholesky) Inverse() *Dense {
-	return c.Solve(Eye(c.n))
+	return c.InverseInto(New(c.n, c.n))
+}
+
+// InverseInto is Inverse writing into dst (n x n); it returns dst. Column
+// j of A⁻¹ is the solution of A·x = e_j, computed with the same
+// operations as SolveVec(e_j) in row j of dst and then transposed into
+// place, so no scratch is needed. The forward solve starts at row j:
+// above it e_j and the solution are exactly zero.
+func (c *Cholesky) InverseInto(dst *Dense) *Dense {
+	n := c.n
+	if dst.rows != n || dst.cols != n {
+		panic(fmt.Sprintf("mat: InverseInto %dx%d, want %dx%d", dst.rows, dst.cols, n, n))
+	}
+	for j := 0; j < n; j++ {
+		x := dst.data[j*n : (j+1)*n]
+		clear(x)
+		x[j] = 1
+		forwardSubstInPlace(c.l, x, j)
+		backSubstTInPlace(c.l, x)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			dst.data[i*n+j], dst.data[j*n+i] = dst.data[j*n+i], dst.data[i*n+j]
+		}
+	}
+	return dst
 }
 
 // QuadForm returns bᵀ A⁻¹ b.

@@ -14,7 +14,10 @@
 //     the O(n²) bordered update behind online GP conditioning.
 //     NewCholeskyParallel is the goroutine-parallel blocked variant for
 //     large systems; NewCholeskyJitter retries with diagonal jitter for
-//     nearly singular covariances.
+//     nearly singular covariances. NewCholeskyInto, SolveVecInto and
+//     InverseInto write into caller-owned storage — the GP
+//     hyperparameter fit reuses one set across its LML evaluations — and
+//     the allocating forms are thin wrappers over them.
 //   - Mul / MulT / SyrkT / MulVec and friends: parallel products used by
 //     kernels and predictions.
 //

@@ -9,16 +9,26 @@ func ForwardSubst(l *Dense, b Vec) Vec {
 	if l.cols != n || len(b) != n {
 		panic(fmt.Sprintf("mat: ForwardSubst shapes %dx%d, b %d", l.rows, l.cols, len(b)))
 	}
-	y := make(Vec, n)
-	for i := 0; i < n; i++ {
-		row := l.data[i*n : i*n+i]
-		s := b[i]
+	y := b.Clone()
+	forwardSubstInPlace(l, y, 0)
+	return y
+}
+
+// forwardSubstInPlace overwrites y with the solution of L·x = y. The
+// caller guarantees y[:from] is zero; since L is nonsingular the
+// solution is zero there too, so the solve starts at row from and sums
+// only columns ≥ from. For a factor with finite entries the skipped
+// terms are all ±0 and would not change a single bit of the result.
+func forwardSubstInPlace(l *Dense, y Vec, from int) {
+	n := l.rows
+	for i := from; i < n; i++ {
+		row := l.data[i*n+from : i*n+i]
+		s := y[i]
 		for k, v := range row {
-			s -= v * y[k]
+			s -= v * y[from+k]
 		}
 		y[i] = s / l.data[i*n+i]
 	}
-	return y
 }
 
 // BackSubstT solves Lᵀ·x = y where L is lower triangular, without forming
@@ -29,6 +39,13 @@ func BackSubstT(l *Dense, y Vec) Vec {
 		panic(fmt.Sprintf("mat: BackSubstT shapes %dx%d, y %d", l.rows, l.cols, len(y)))
 	}
 	x := y.Clone()
+	backSubstTInPlace(l, x)
+	return x
+}
+
+// backSubstTInPlace overwrites x with the solution of Lᵀ·z = x.
+func backSubstTInPlace(l *Dense, x Vec) {
+	n := l.rows
 	for i := n - 1; i >= 0; i-- {
 		x[i] /= l.data[i*n+i]
 		xi := x[i]
@@ -37,7 +54,6 @@ func BackSubstT(l *Dense, y Vec) Vec {
 			x[k] -= l.data[i*n+k] * xi
 		}
 	}
-	return x
 }
 
 // BackSubst solves U·x = b where U is upper triangular (only the upper

@@ -20,16 +20,14 @@
 // large-n floor for the sparse tier's O(m²) step against the dense
 // refit a campaign would otherwise pay at that size).
 //
-// One absolute allocation figure is gated too: B/op of
-// BenchmarkALLoop/incremental must stay at or below
-// -max-incremental-bop (default 1,291,402 — 60% of the 2,152,336
-// recorded before the packed-factor work; Go reports allocations
-// deterministically for deterministic code, so this is not a noisy
-// timing gate).
+// Absolute allocation figures are gated too: the baseline's max_b_op
+// maps a benchmark name to its B/op ceiling (defaults in defaultMaxBOp).
+// Go reports allocations deterministically for deterministic code, so
+// these are not noisy timing gates.
 //
 // Usage:
 //
-//	go test -run='^$' -bench 'BenchmarkALIteration|BenchmarkALLoop' -benchtime=1x . > bench.txt
+//	go test -run='^$' -bench 'BenchmarkALIteration|BenchmarkALLoop|BenchmarkGPHyperopt' -benchtime=1x . > bench.txt
 //	go run ./scripts/benchdiff -baseline BENCH_baseline.json bench.txt   # compare
 //	go run ./scripts/benchdiff -baseline BENCH_baseline.json -update bench.txt  # record
 package main
@@ -39,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"regexp"
 	"sort"
@@ -51,18 +50,28 @@ import (
 // headroom for intentional small changes, not measurement noise.
 var guardedMetrics = []string{"gp_fits/op", "cholesky/op", "cand_evals/op", "lml_evals/op"}
 
+// defaultMaxBOp holds the B/op ceilings -update records:
+//   - BenchmarkALLoop/incremental: 60% of the 2,152,336 B/op recorded
+//     before the dense factor was stored packed;
+//   - BenchmarkGPHyperopt: 15% of the 3,306,258 B/op recorded before the
+//     LML evaluations of a fit shared one workspace.
+var defaultMaxBOp = map[string]float64{
+	"BenchmarkALLoop/incremental": 1291402,
+	"BenchmarkGPHyperopt":         495938,
+}
+
 // benchResult holds every `value unit` metric pair reported on one
 // benchmark output line, keyed by unit.
 type benchResult map[string]float64
 
 // baselineFile is the checked-in BENCH_baseline.json schema. Informational
-// holds ns/op and allocation figures for human reference; only Guarded
-// metrics and the speedup floor are enforced.
+// holds ns/op and allocation figures for human reference; only guarded
+// metrics, the speedup floors and the B/op ceilings are enforced.
 type baselineFile struct {
 	Note             string                 `json:"note"`
 	MinSpeedup       float64                `json:"min_alloop_speedup"`
 	MinSparseSpeedup float64                `json:"min_sparse_speedup"`
-	MaxIncrementalB  float64                `json:"max_incremental_b_op"`
+	MaxBOp           map[string]float64     `json:"max_b_op"`
 	Benchmarks       map[string]benchResult `json:"benchmarks"`
 }
 
@@ -152,21 +161,29 @@ func checkSparseSpeedup(results map[string]benchResult, minSpeedup float64) erro
 	return checkRatio(results, "BenchmarkALLoop/dense_n8192", "BenchmarkALLoop/sparse_n8192", minSpeedup)
 }
 
-// checkIncrementalBytes enforces the absolute allocation ceiling on the
-// dense incremental update step.
-func checkIncrementalBytes(results map[string]benchResult, maxBytes float64) error {
-	incr, ok := results["BenchmarkALLoop/incremental"]
-	if !ok || maxBytes <= 0 {
-		return nil
+// checkMaxBytes enforces the absolute B/op ceilings. A benchmark absent
+// from this run is skipped; compare reports baseline benchmarks missing
+// from the output.
+func checkMaxBytes(results map[string]benchResult, ceilings map[string]float64) error {
+	names := make([]string, 0, len(ceilings))
+	for name := range ceilings {
+		names = append(names, name)
 	}
-	got, ok := incr["B/op"]
-	if !ok {
-		return fmt.Errorf("BenchmarkALLoop/incremental reported no B/op (run with -benchmem or b.ReportAllocs)")
+	sort.Strings(names)
+	for _, name := range names {
+		res, ok := results[name]
+		if !ok {
+			continue
+		}
+		got, ok := res["B/op"]
+		if !ok {
+			return fmt.Errorf("%s reported no B/op (run with -benchmem or b.ReportAllocs)", name)
+		}
+		if got > ceilings[name] {
+			return fmt.Errorf("%s allocates %.0f B/op > ceiling %.0f B/op", name, got, ceilings[name])
+		}
+		fmt.Printf("ok\t%s %.0f B/op (ceiling %.0f)\n", name, got, ceilings[name])
 	}
-	if got > maxBytes {
-		return fmt.Errorf("BenchmarkALLoop/incremental allocates %.0f B/op > ceiling %.0f B/op", got, maxBytes)
-	}
-	fmt.Printf("ok\tBenchmarkALLoop/incremental %.0f B/op (ceiling %.0f)\n", got, maxBytes)
 	return nil
 }
 
@@ -210,16 +227,16 @@ func compare(base *baselineFile, results map[string]benchResult, tol float64) []
 	return failures
 }
 
-func writeBaseline(path string, results map[string]benchResult, minSpeedup, minSparse, maxIncrB float64) error {
+func writeBaseline(path string, results map[string]benchResult, minSpeedup, minSparse float64) error {
 	base := baselineFile{
 		Note: "Deterministic work counts per benchmark op, recorded by scripts/benchdiff -update. " +
 			"CI fails if a guarded metric (gp_fits/op, cholesky/op, cand_evals/op, lml_evals/op) " +
 			"rises more than the tolerance, if the ALLoop refit/incremental or dense_n8192/sparse_n8192 " +
-			"speedup drops below its floor, or if the incremental step's B/op exceeds its ceiling. " +
+			"speedup drops below its floor, or if a benchmark's B/op exceeds its max_b_op ceiling. " +
 			"Other ns/op and allocation figures are informational only.",
 		MinSpeedup:       minSpeedup,
 		MinSparseSpeedup: minSparse,
-		MaxIncrementalB:  maxIncrB,
+		MaxBOp:           defaultMaxBOp,
 		Benchmarks:       results,
 	}
 	buf, err := json.MarshalIndent(&base, "", "  ")
@@ -235,11 +252,10 @@ func main() {
 	tol := flag.Float64("tol", 0.20, "allowed relative increase of guarded work-count metrics")
 	minSpeedup := flag.Float64("min-speedup", 3, "required BenchmarkALLoop refit/incremental ns-per-op ratio")
 	minSparse := flag.Float64("min-sparse-speedup", 10, "required BenchmarkALLoop dense_n8192/sparse_n8192 ns-per-op ratio")
-	maxIncrB := flag.Float64("max-incremental-bop", 1291402, "B/op ceiling for BenchmarkALLoop/incremental (≤60% of the pre-packed-factor 2152336)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-baseline file] [-update] [-tol frac] [-min-speedup x] [-min-sparse-speedup x] [-max-incremental-bop n] bench.txt")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-baseline file] [-update] [-tol frac] [-min-speedup x] [-min-sparse-speedup x] bench.txt")
 		os.Exit(2)
 	}
 	results, err := parseBenchOutput(flag.Arg(0))
@@ -251,7 +267,7 @@ func main() {
 	for _, err := range []error{
 		checkSpeedup(results, *minSpeedup),
 		checkSparseSpeedup(results, *minSparse),
-		checkIncrementalBytes(results, *maxIncrB),
+		checkMaxBytes(results, defaultMaxBOp),
 	} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "FAIL\t"+err.Error())
@@ -260,7 +276,7 @@ func main() {
 	}
 
 	if *update {
-		if err := writeBaseline(*baselinePath, results, *minSpeedup, *minSparse, *maxIncrB); err != nil {
+		if err := writeBaseline(*baselinePath, results, *minSpeedup, *minSparse); err != nil {
 			fmt.Fprintln(os.Stderr, "benchdiff:", err)
 			os.Exit(1)
 		}
@@ -292,8 +308,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if base.MaxIncrementalB > 0 && base.MaxIncrementalB != *maxIncrB {
-		if err := checkIncrementalBytes(results, base.MaxIncrementalB); err != nil {
+	if !maps.Equal(base.MaxBOp, defaultMaxBOp) {
+		if err := checkMaxBytes(results, base.MaxBOp); err != nil {
 			fmt.Fprintln(os.Stderr, "FAIL\t"+err.Error())
 			os.Exit(1)
 		}
