@@ -310,6 +310,39 @@ func BenchmarkALLoop(b *testing.B) {
 	})
 }
 
+// perfPaperCoords returns the given rows of the Performance grid in
+// paper coordinates: (log10 size, log2 NP, frequency) → log10 runtime.
+func perfPaperCoords(ds *Dataset, rows []int) (*mat.Dense, []float64) {
+	x := mat.New(len(rows), 3)
+	y := make([]float64, len(rows))
+	for i, r := range rows {
+		p := ds.Row(r) // size, NP, frequency
+		x.Set(i, 0, math.Log10(p[0]))
+		x.Set(i, 1, math.Log2(p[1]))
+		x.Set(i, 2, p[2])
+		y[i] = math.Log10(ds.RespAt(RespRuntime, r))
+	}
+	return x, y
+}
+
+// hyperoptFixture returns the Performance grid and the n = 32 training
+// rows BenchmarkGPHyperopt fits, in paper coordinates.
+func hyperoptFixture(b *testing.B) (ds *Dataset, x *mat.Dense, y []float64) {
+	b.Helper()
+	ds, err := GeneratePerformanceDataset(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 32
+	x, y = perfPaperCoords(ds, rand.New(rand.NewSource(1)).Perm(ds.Len())[:n])
+	return ds, x, y
+}
+
+// hyperoptConfig is the fit BenchmarkGPHyperopt measures.
+func hyperoptConfig() gp.Config {
+	return gp.Config{Kernel: kernel.NewRBF(1, 1), NoiseInit: 0.1, Optimize: true, Restarts: 2}
+}
+
 // BenchmarkGPHyperopt measures one dense GP fit with LML hyperparameter
 // optimization in the shape the campaign service refits at every step
 // of the paper's loop: an RBF kernel from (1, 1), σn from 0.1 with the
@@ -319,29 +352,41 @@ func BenchmarkALLoop(b *testing.B) {
 // evaluation and factorization counts per op are fixed; B/op is gated
 // by scripts/benchdiff.
 func BenchmarkGPHyperopt(b *testing.B) {
-	ds, err := GeneratePerformanceDataset(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 32
-	rows := rand.New(rand.NewSource(1)).Perm(ds.Len())[:n]
-	x := mat.New(n, 3)
-	y := make([]float64, n)
-	for i, r := range rows {
-		p := ds.Row(r) // size, NP, frequency
-		x.Set(i, 0, math.Log10(p[0]))
-		x.Set(i, 1, math.Log2(p[1]))
-		x.Set(i, 2, p[2])
-		y[i] = math.Log10(ds.RespAt(RespRuntime, r))
-	}
+	_, x, y := hyperoptFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	before := sampleObs()
 	for i := 0; i < b.N; i++ {
-		cfg := gp.Config{Kernel: kernel.NewRBF(1, 1), NoiseInit: 0.1, Optimize: true, Restarts: 2}
-		if _, err := gp.Fit(cfg, x, y, rand.New(rand.NewSource(2))); err != nil {
+		if _, err := gp.Fit(hyperoptConfig(), x, y, rand.New(rand.NewSource(2))); err != nil {
 			b.Fatal(err)
 		}
+	}
+	reportObs(b, before, sampleObs())
+}
+
+// benchPreds keeps BenchmarkGPPredictBatch's result live.
+var benchPreds []gp.Prediction
+
+// BenchmarkGPPredictBatch measures the scoring step of the paper's loop
+// (Eqs. 5–6): the model BenchmarkGPHyperopt fits scores all 3246 rows of
+// the Performance grid, in paper coordinates, through one PredictBatch.
+// B/op is gated by scripts/benchdiff.
+func BenchmarkGPPredictBatch(b *testing.B) {
+	ds, x, y := hyperoptFixture(b)
+	model, err := gp.Fit(hyperoptConfig(), x, y, rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([]int, ds.Len())
+	for i := range all {
+		all[i] = i
+	}
+	grid, _ := perfPaperCoords(ds, all)
+	b.ReportAllocs()
+	b.ResetTimer()
+	before := sampleObs()
+	for i := 0; i < b.N; i++ {
+		benchPreds = model.PredictBatch(grid)
 	}
 	reportObs(b, before, sampleObs())
 }

@@ -220,13 +220,17 @@ func RunOnline(candidates *mat.Dense, seeds []int, oracle Oracle, cfg LoopConfig
 		if sel < 0 || sel >= len(cands) {
 			return Result{}, fmt.Errorf("al: strategy %s returned invalid index %d", c.Strategy.Name(), sel)
 		}
+		// Only the chosen candidate is used from here on; copying it out
+		// leaves the m-entry cands slice unreferenced while runAt waits
+		// on the oracle, so a parked campaign does not hold it.
+		chosen := cands[sel]
 		var guard func(float64) bool
 		if c.GuardSigma > 0 {
-			pred := cands[sel].Pred
+			pred := chosen.Pred
 			sn := regObsNoise(model)
 			guard = func(y float64) bool { return guardRejects(c.GuardSigma, pred, sn, y) }
 		}
-		ok, err := runAt(iterCtx, cands[sel].Row, guard)
+		ok, err := runAt(iterCtx, chosen.Row, guard)
 		if err != nil {
 			iterSpan.End()
 			if errors.Is(err, ErrStopped) {
@@ -247,8 +251,8 @@ func RunOnline(candidates *mat.Dense, seeds []int, oracle Oracle, cfg LoopConfig
 
 		res.Records = append(res.Records, IterationRecord{
 			Iter:     iter,
-			Row:      cands[sel].Row,
-			SDChosen: cands[sel].Pred.SD,
+			Row:      chosen.Row,
+			SDChosen: chosen.Pred.SD,
 			AMSD:     amsd,
 			RMSE:     math.NaN(),
 			CumCost:  cumCost,
@@ -256,7 +260,7 @@ func RunOnline(candidates *mat.Dense, seeds []int, oracle Oracle, cfg LoopConfig
 			Noise:    regNoise(model),
 			Train:    len(trainY),
 		})
-		res.TrainRows = append(res.TrainRows, cands[sel].Row)
+		res.TrainRows = append(res.TrainRows, chosen.Row)
 		if c.OnRecord != nil {
 			c.OnRecord(res.Records[len(res.Records)-1])
 		}

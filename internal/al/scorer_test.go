@@ -1,6 +1,7 @@
 package al
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -52,6 +53,43 @@ func TestScorePoolMatchesSerial(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: prediction %d = %+v, want %+v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestScoreBatchBitIdentical scores a 3246-row, 3-D grid — the size of
+// the Performance grid — through ScoreBatch with worker counts whose
+// chunk sizes and final chunks are not multiples of PredictBatch's
+// four-row blocks, and requires every mean and SD to equal the serial
+// result bit for bit.
+func TestScoreBatchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, m = 17, 3246
+	xs := make([][]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i] = []float64{3 * rng.Float64(), 3 * rng.Float64(), 3 * rng.Float64()}
+		ys[i] = xs[i][0]*xs[i][1] - xs[i][2]
+	}
+	model, err := gp.Fit(gp.Config{Kernel: kernel.NewRBF(1.1, 1), NoiseInit: 0.1, FixedNoise: true, Normalize: true},
+		mat.NewFromRows(xs), ys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := mat.New(m, 3)
+	for i := range grid.Raw() {
+		grid.Raw()[i] = 3 * rng.Float64()
+	}
+	want := model.PredictBatch(grid)
+	for _, workers := range []int{1, 2, 3, 5, 7} {
+		got := ScoreBatch(WrapGP(model), grid, workers)
+		if len(got) != m {
+			t.Fatalf("workers=%d: %d predictions, want %d", workers, len(got), m)
+		}
+		for i, w := range want {
+			if math.Float64bits(got[i].Mean) != math.Float64bits(w.Mean) || math.Float64bits(got[i].SD) != math.Float64bits(w.SD) {
+				t.Fatalf("workers=%d: prediction %d = %+v, want %+v", workers, i, got[i], w)
 			}
 		}
 	}

@@ -47,6 +47,16 @@
 // does not grow, and evaluations through it return the same bits as
 // evaluations on fresh buffers.
 //
+// # Scoring
+//
+// PredictBatch scores m rows without building the m×n cross-covariance.
+// It streams the rows in blocks of four through one O(4n) scratch: the
+// block's k* vectors stored interleaved, solved in place by one
+// mat.TriPacked.ForwardSubst4Into pass. Besides its m-entry result, a
+// call allocates that scratch and nothing else, and drops it on return;
+// the GP holds no scoring buffer and no cache across calls. Each row's
+// mean and SD are bit-identical to Predict at that row.
+//
 // # Concurrency contract
 //
 // A fitted *GP is immutable through its exported query methods
@@ -57,8 +67,8 @@
 // Condition and Augmented construct fresh models and may run
 // concurrently with each other when given distinct inputs. The fit
 // workspace changes none of this: each fit owns its own, and
-// PredictBatch still allocates its scratch per call, so concurrent
-// PredictBatch calls on one model share no mutable state.
+// PredictBatch allocates its scratch per call (see Scoring), so
+// concurrent PredictBatch calls on one model share no mutable state.
 //
 // A fitted *SparseGP (and the *AutoModel wrapping one) follows the same
 // immutable-snapshot contract: every exported query method is

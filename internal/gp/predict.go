@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/kernel"
 	"repro/internal/mat"
 )
 
@@ -56,31 +55,60 @@ func (g *GP) PredictNoisy(x []float64) Prediction {
 }
 
 // PredictBatch evaluates the predictive distribution at every row of xs.
+//
+// It streams the rows in blocks of four and never builds the m×n
+// cross-covariance: each block's k* vectors go into one 4n scratch,
+// interleaved (element j of lane r at 4j+r), and one ForwardSubst4Into
+// pass solves all four L⁻¹k* in place. A block short of four rows
+// zero-pads its unused lanes. Per lane, the kernel calls, the running
+// sums μ = Σ k_j α_j and vᵀv (ascending j) and the solve perform exactly
+// the operations of Predict, so every row's result is bit-identical to
+// the single-point formula.
 func (g *GP) PredictBatch(xs *mat.Dense) []Prediction {
 	if xs.Cols() != g.x.Cols() {
 		panic(fmt.Sprintf("gp: PredictBatch dim %d, model trained on %d", xs.Cols(), g.x.Cols()))
 	}
-	m := xs.Rows()
+	m, n := xs.Rows(), g.x.Rows()
 	predictBatches.Inc()
 	predictPoints.Add(int64(m))
 	out := make([]Prediction, m)
-	// Cross-covariance computed in one pass: K* is m x n. One scratch
-	// vector serves every row's triangular solve — the batch allocates
-	// O(n) once instead of O(m·n) across the pool.
-	kstar := kernel.CrossMatrix(g.kern, xs, g.x)
-	v := make(mat.Vec, g.x.Rows())
-	for i := 0; i < m; i++ {
-		ks := mat.Vec(kstar.RawRow(i))
-		mu := mat.Dot(ks, g.alpha)
-		g.chol.ForwardSubstInto(v, ks)
-		xi := xs.RawRow(i)
-		variance := g.kern.Eval(xi, xi) - mat.Dot(v, v)
-		if variance < 0 {
-			variance = 0
+	ks := make([]float64, 4*n)
+	for base := 0; base < m; base += 4 {
+		var mu, vv [4]float64
+		for r := 0; r < 4; r++ {
+			if base+r >= m {
+				for j := 0; j < n; j++ {
+					ks[4*j+r] = 0
+				}
+				continue
+			}
+			xi := xs.RawRow(base + r)
+			var s float64
+			for j, a := range g.alpha {
+				k := g.kern.Eval(xi, g.x.RawRow(j))
+				ks[4*j+r] = k
+				s += k * a
+			}
+			mu[r] = s
 		}
-		out[i] = Prediction{
-			Mean: g.yMean + g.yStd*mu,
-			SD:   g.yStd * math.Sqrt(variance),
+		g.chol.ForwardSubst4Into(ks, ks)
+		for j := 0; j < n; j++ {
+			v := (*[4]float64)(ks[4*j:])
+			vv[0] += v[0] * v[0]
+			vv[1] += v[1] * v[1]
+			vv[2] += v[2] * v[2]
+			vv[3] += v[3] * v[3]
+		}
+		for r := 0; r < 4 && base+r < m; r++ {
+			xi := xs.RawRow(base + r)
+			variance := g.kern.Eval(xi, xi) - vv[r]
+			if variance < 0 {
+				variance = 0
+			}
+			out[base+r] = Prediction{
+				Mean: g.yMean + g.yStd*mu[r],
+				SD:   g.yStd * math.Sqrt(variance),
+			}
 		}
 	}
 	return out

@@ -18,6 +18,12 @@
 //     InverseInto write into caller-owned storage — the GP
 //     hyperparameter fit reuses one set across its LML evaluations — and
 //     the allocating forms are thin wrappers over them.
+//   - TriPacked: a Cholesky factor in packed storage, the form a fitted
+//     GP keeps. ForwardSubst4Into solves four right-hand sides in one
+//     pass over L, stored interleaved (element i of lane r at 4i+r) so
+//     each element of L feeds four independent accumulator chains. Each
+//     lane performs exactly ForwardSubstInto's operations in the same
+//     order, so its result is bit-identical; GP scoring relies on that.
 //   - Mul / MulT / SyrkT / MulVec and friends: parallel products used by
 //     kernels and predictions.
 //

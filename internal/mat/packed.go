@@ -76,6 +76,36 @@ func (t *TriPacked) ForwardSubstInto(dst, b Vec) {
 	}
 }
 
+// ForwardSubst4Into solves L·y = b for four right-hand sides in one
+// pass over L. b and dst hold the four vectors interleaved: element i
+// of lane r is at index 4i+r, so both have length 4n. Each element of
+// L is loaded once and feeds four independent accumulator chains, and
+// each lane performs exactly the operations of ForwardSubstInto in the
+// same order, so lane r of dst is bit-identical to ForwardSubstInto on
+// lane r of b. dst may be b itself (the solve then runs in place) but
+// must not otherwise overlap it.
+func (t *TriPacked) ForwardSubst4Into(dst, b []float64) {
+	if len(b) != 4*t.n || len(dst) != 4*t.n {
+		panic(fmt.Sprintf("mat: TriPacked ForwardSubst4 lengths %d,%d != 4·%d", len(dst), len(b), t.n))
+	}
+	for i := 0; i < t.n; i++ {
+		row := t.row(i)
+		s0, s1, s2, s3 := b[4*i], b[4*i+1], b[4*i+2], b[4*i+3]
+		y := dst[:4*i]
+		j := 0
+		for _, l := range row[:i] {
+			yj := y[j : j+4 : j+4]
+			s0 -= l * yj[0]
+			s1 -= l * yj[1]
+			s2 -= l * yj[2]
+			s3 -= l * yj[3]
+			j += 4
+		}
+		d := row[i]
+		dst[4*i], dst[4*i+1], dst[4*i+2], dst[4*i+3] = s0/d, s1/d, s2/d, s3/d
+	}
+}
+
 // ForwardSubst solves L·y = b and returns y.
 func (t *TriPacked) ForwardSubst(b Vec) Vec {
 	y := make(Vec, t.n)

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -81,6 +82,50 @@ func TestTriPackedMatchesCholesky(t *testing.T) {
 	bm := randomDense(rng, n, 3)
 	y := p.ForwardSubstMat(bm)
 	matricesEqual(t, Mul(lowerTriangle(c.L()), y), bm, 1e-10)
+}
+
+// TestForwardSubst4IntoBitIdentical requires each lane of the four-lane
+// solve to equal ForwardSubstInto on that lane bit for bit, out of place
+// and in place, with 1–4 live lanes and the rest zero-padded, on a
+// well-conditioned and a badly conditioned factor.
+func TestForwardSubst4IntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{1, 2, 3, 17, 64} {
+		for _, a := range []*Dense{randomSPD(rng, n), gramSPD(rng, n, 1e-6)} {
+			c, err := NewCholesky(a)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			p := PackCholesky(c)
+			for live := 1; live <= 4; live++ {
+				b := make([]float64, 4*n)
+				want := make([]Vec, 4)
+				for r := 0; r < 4; r++ {
+					lane := make(Vec, n)
+					if r < live {
+						lane = randVec(rng, n)
+					}
+					for i, v := range lane {
+						b[4*i+r] = v
+					}
+					want[r] = make(Vec, n)
+					p.ForwardSubstInto(want[r], lane)
+				}
+				out := make([]float64, 4*n)
+				p.ForwardSubst4Into(out, b)
+				p.ForwardSubst4Into(b, b)
+				for name, got := range map[string][]float64{"out of place": out, "in place": b} {
+					for r := 0; r < 4; r++ {
+						for i, w := range want[r] {
+							if g := got[4*i+r]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("n=%d live=%d %s: lane %d row %d = %v, want %v", n, live, name, r, i, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestTriPackedExtended checks the bordered update against a from-scratch

@@ -27,7 +27,7 @@
 //
 // Usage:
 //
-//	go test -run='^$' -bench 'BenchmarkALIteration|BenchmarkALLoop|BenchmarkGPHyperopt' -benchtime=1x . > bench.txt
+//	go test -run='^$' -bench 'BenchmarkALIteration|BenchmarkALLoop|BenchmarkGPHyperopt|BenchmarkGPPredictBatch' -benchtime=1x . > bench.txt
 //	go run ./scripts/benchdiff -baseline BENCH_baseline.json bench.txt   # compare
 //	go run ./scripts/benchdiff -baseline BENCH_baseline.json -update bench.txt  # record
 package main
@@ -54,10 +54,13 @@ var guardedMetrics = []string{"gp_fits/op", "cholesky/op", "cand_evals/op", "lml
 //   - BenchmarkALLoop/incremental: 60% of the 2,152,336 B/op recorded
 //     before the dense factor was stored packed;
 //   - BenchmarkGPHyperopt: 15% of the 3,306,258 B/op recorded before the
-//     LML evaluations of a fit shared one workspace.
+//     LML evaluations of a fit shared one workspace;
+//   - BenchmarkGPPredictBatch: 15% of the 893,245 B/op recorded while
+//     PredictBatch built the full m×n cross-covariance.
 var defaultMaxBOp = map[string]float64{
 	"BenchmarkALLoop/incremental": 1291402,
 	"BenchmarkGPHyperopt":         495938,
+	"BenchmarkGPPredictBatch":     133987,
 }
 
 // benchResult holds every `value unit` metric pair reported on one
