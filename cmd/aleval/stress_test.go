@@ -11,9 +11,9 @@ import (
 )
 
 // campaignGoroutines snapshots all goroutine stacks and returns those
-// still inside campaign actors or engines — the two long-lived
-// goroutines each campaign owns. After every in-process server has shut
-// down, none may survive.
+// still inside campaign actors — the one long-lived goroutine each
+// campaign owns. After every in-process server has shut down, none may
+// survive.
 func campaignGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
@@ -23,8 +23,7 @@ func campaignGoroutines() []string {
 	}
 	var out []string
 	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-		if strings.Contains(g, "serve.(*Campaign).actor") ||
-			strings.Contains(g, "serve.(*Campaign).engine") {
+		if strings.Contains(g, "serve.(*Campaign).actor") {
 			out = append(out, g)
 		}
 	}

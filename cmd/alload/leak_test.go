@@ -68,7 +68,6 @@ func leakedLoadGoroutines() []string {
 		"main.(*loader).",
 		"main.replay.func",
 		"serve.(*Campaign).actor",
-		"serve.(*Campaign).engine",
 	}
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)

@@ -92,8 +92,8 @@ func runClient(cfg clientConfig) error {
 		case err != nil:
 			return fmt.Errorf("drive: suggest: %w", err)
 		case code == http.StatusConflict:
-			// No pending suggestion: the engine is fitting, replaying,
-			// or done — poll status to find out which.
+			// No pending suggestion: the campaign is replaying or
+			// done — poll status to find out which.
 			var st serve.CampaignStatus
 			if _, err := getJSON(client, cfg.baseURL+"/campaigns/"+created.ID, &st); err != nil {
 				return fmt.Errorf("drive: status: %w", err)

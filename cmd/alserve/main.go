@@ -1,6 +1,6 @@
 // Command alserve hosts concurrent Active Learning campaigns over HTTP.
 //
-// A campaign is one al.RunOnline realization. In dataset mode the server
+// A campaign is one online AL realization (an al.Session). In dataset mode the server
 // measures points itself against a registered dataset generator; in
 // client mode the server publishes suggestions and the client POSTs the
 // measured responses, so a lab harness (or a person at a terminal) can
@@ -28,7 +28,7 @@
 // operator poisson1, NP = 32, log10 size × frequency → log10 runtime)
 // is registered at startup next to the built-in "synthetic" generator.
 //
-// SIGINT/SIGTERM drain in-flight requests, stop every campaign engine,
+// SIGINT/SIGTERM drain in-flight requests, stop every campaign,
 // flush final checkpoints, and dump obs metrics to the -metrics sink.
 package main
 
@@ -64,7 +64,7 @@ func main() {
 	cacheSize := flag.Int("cache", 4096, "prediction LRU capacity in points")
 	scoreWorkers := flag.Int("score-workers", 0, "workers per scoring call (0 = all cores)")
 	maxScores := flag.Int("max-scores", 0, "concurrent scoring operations across all campaigns (0 = GOMAXPROCS)")
-	parallel := flag.Bool("parallel", true, "score candidates on all cores inside campaign engines")
+	parallel := flag.Bool("parallel", true, "score candidates on all cores inside campaigns")
 	metrics := flag.String("metrics", "", "write obs spans/events/metrics to this JSONL file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain deadline on SIGINT/SIGTERM")

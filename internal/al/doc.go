@@ -55,8 +55,10 @@
 //   - LoopConfig / Run: one AL realization over a dataset Partition
 //     (Initial seeds, Active pool, Test RMSE); IterationRecord carries
 //     the §V-B3 monitoring quantities per step.
-//   - RunOnline: the same loop against a live Oracle (§VI) instead of a
-//     recorded dataset.
+//   - Session: the loop against live experiments (§VI) as ask/tell —
+//     Next selects a point, Tell reports its measurement. RunOnline
+//     drives one with an Oracle; internal/serve campaigns drive it
+//     directly.
 //   - BatchSelect / BatchSelectKCenter / RunParallel: batched selection
 //     with simulated scheduler accounting (ablation A4).
 //
@@ -101,16 +103,16 @@
 //
 // # Observability
 //
-// Run and RunOnline open one "al.iteration" span per step with
+// Run and Session.Next open one "al.iteration" span per step with
 // "al.model.update", "al.score" and "al.select" children, and feed the
-// al.* counters; every selection increments al.strategy.select.<name>,
+// al.* counters; RunOnline times each oracle call as "al.experiment"; every selection increments al.strategy.select.<name>,
 // and QBC counts committee fits under al.strategy.qbc.*. See
 // OBSERVABILITY.md for the full catalog.
 //
 // # Concurrency contract
 //
 // Strategies are stateless values and safe for concurrent use. Run,
-// RunOnline, RunParallel and the config/result structs are not
+// RunOnline, Session, RunParallel and the config/result structs are not
 // goroutine-safe: each realization owns its *rand.Rand and dataset
 // partition, so run concurrent realizations with separate arguments
 // (as al.RunBatch does internally).

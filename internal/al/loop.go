@@ -16,7 +16,7 @@ import (
 )
 
 // AL-loop metrics (see OBSERVABILITY.md). Each iteration of Run and
-// RunOnline opens an "al.iteration" span with "al.model.update",
+// Session.Next opens an "al.iteration" span with "al.model.update",
 // "al.score" and "al.select" children; the counters tally work volumes
 // the spans do not capture. The fault-path counters (al.retries,
 // al.rejected, al.skipped) stay at zero in healthy runs.
@@ -146,13 +146,6 @@ type LoopConfig struct {
 	// Seed seeds the loop-owned RNG used when Run's rng argument is nil
 	// (default 1, matching the historical default stream).
 	Seed int64
-
-	// OnRecord, when non-nil, is invoked from the loop goroutine right
-	// after each IterationRecord is appended — the streaming interface
-	// the serving layer uses to publish per-iteration progress while the
-	// loop is still running. The callback must not block for long: the
-	// loop waits for it.
-	OnRecord func(IterationRecord)
 
 	// OnModel, when non-nil, is invoked from the loop goroutine after
 	// every successful model update (initial fit, refit, or incremental
@@ -323,19 +316,63 @@ func measureFunc(ds *dataset.Dataset, c LoopConfig) func(row int, x []float64, a
 	}
 }
 
-// guardRejects applies the observation guard: non-finite responses are
-// always rejected; with guard > 0, responses farther than guard
-// predictive SDs (latent and noise combined) from the model mean at the
-// candidate are too.
-func guardRejects(guard float64, pred gp.Prediction, obsNoise, y float64) bool {
-	if math.IsNaN(y) || math.IsInf(y, 0) {
-		return true
-	}
-	if guard <= 0 {
+// vet counts one measurement attempt at row and reports whether its
+// observation may enter the training set. It refuses, with an event, a
+// failed experiment, a non-finite response, and — with guard > 0 — a
+// response farther than guard predictive SDs (latent and noise
+// combined) from the model mean at the candidate.
+func vet(attempts map[int]int, iter, row int, y float64, err error, guard float64, pred gp.Prediction, obsNoise float64) bool {
+	attempt := attempts[row]
+	attempts[row] = attempt + 1
+	if err != nil {
+		obs.Emit("al.experiment.failed", map[string]any{
+			"iter": iter, "row": row, "attempt": attempt, "err": err.Error(),
+		})
 		return false
 	}
 	sd := math.Sqrt(pred.SD*pred.SD + obsNoise*obsNoise)
-	return math.Abs(y-pred.Mean) > guard*sd
+	if math.IsNaN(y) || math.IsInf(y, 0) || (guard > 0 && math.Abs(y-pred.Mean) > guard*sd) {
+		alRejected.Inc()
+		obs.Emit("al.observation.rejected", map[string]any{
+			"iter": iter, "row": row, "attempt": attempt, "y": y,
+			"mean": pred.Mean, "sd": pred.SD,
+		})
+		return false
+	}
+	return true
+}
+
+// refitConfig is the GP configuration of a full refit over n
+// observations, warm-started from the previous model's hyperparameters
+// when it has them.
+func refitConfig(c *LoopConfig, dims, n int, prev Regressor) gp.Config {
+	floor := c.NoiseFloor
+	if c.DynamicFloorC > 0 {
+		floor = gp.DynamicNoiseFloor(c.DynamicFloorC, n)
+	}
+	gcfg := gp.Config{
+		Kernel:     c.NewKernel(dims),
+		NoiseInit:  math.Max(0.1, floor),
+		NoiseFloor: floor,
+		Optimize:   true,
+		Restarts:   c.Restarts,
+		Normalize:  c.Normalize,
+	}
+	if td, ok := prev.(TrainDataModel); ok {
+		gcfg.Kernel.SetHyper(td.Kernel().Hyper())
+		gcfg.NoiseInit = math.Max(regNoise(prev), floor)
+	}
+	return gcfg
+}
+
+// amsdConverged is the AMSD convergence rule (§V-B4): the last window
+// changes of the AMSD span at most tol, relative to the newest value.
+func amsdConverged(hist []float64, window int, tol float64) bool {
+	if window <= 0 || len(hist) <= window {
+		return false
+	}
+	lo, hi := stats.MinMax(hist[len(hist)-1-window:])
+	return hi-lo <= tol*math.Max(1e-12, math.Abs(hi))
 }
 
 // runLoop is the iteration engine shared by Run and ResumeFrom.
@@ -362,23 +399,7 @@ func runLoop(ds *dataset.Dataset, part dataset.Partition, c LoopConfig, rng *ran
 	// (returning them to the pool for non-revisiting runs).
 	robustRefit := func(fitCtx context.Context, iter int) error {
 		refits.Inc()
-		floor := c.NoiseFloor
-		if c.DynamicFloorC > 0 {
-			floor = gp.DynamicNoiseFloor(c.DynamicFloorC, len(st.train))
-		}
-		gcfg := gp.Config{
-			Kernel:     c.NewKernel(dims),
-			NoiseInit:  math.Max(0.1, floor),
-			NoiseFloor: floor,
-			Optimize:   true,
-			Restarts:   c.Restarts,
-			Normalize:  c.Normalize,
-		}
-		if td, ok := model.(TrainDataModel); ok {
-			// Warm-start from the previous hyperparameters.
-			gcfg.Kernel.SetHyper(td.Kernel().Hyper())
-			gcfg.NoiseInit = math.Max(regNoise(model), floor)
-		}
+		gcfg := refitConfig(&c, dims, len(st.train), model)
 		m, deg, err := fitter.refit(fitCtx, gcfg, ds.Matrix(st.train), st.trainY, model, rng)
 		if err != nil {
 			return err
@@ -495,32 +516,13 @@ func runLoop(ds *dataset.Dataset, part dataset.Partition, c LoopConfig, rng *ran
 		// front of model conditioning.
 		var y, cost float64
 		measured := false
-		for try := 0; try <= c.RetryBudget; try++ {
-			attempt := st.attempts[chosen.Row]
-			st.attempts[chosen.Row] = attempt + 1
-			my, mcost, merr := measure(chosen.Row, chosen.X, attempt)
-			if merr != nil {
-				obs.Emit("al.experiment.failed", map[string]any{
-					"iter": iter, "row": chosen.Row, "attempt": attempt, "err": merr.Error(),
-				})
-				if try < c.RetryBudget {
-					alRetries.Inc()
-				}
-				continue
+		for try := 0; try <= c.RetryBudget && !measured; try++ {
+			my, mcost, merr := measure(chosen.Row, chosen.X, st.attempts[chosen.Row])
+			if vet(st.attempts, iter, chosen.Row, my, merr, c.GuardSigma, chosen.Pred, regObsNoise(model)) {
+				y, cost, measured = my, mcost, true
+			} else if try < c.RetryBudget {
+				alRetries.Inc()
 			}
-			if guardRejects(c.GuardSigma, chosen.Pred, regObsNoise(model), my) {
-				alRejected.Inc()
-				obs.Emit("al.observation.rejected", map[string]any{
-					"iter": iter, "row": chosen.Row, "attempt": attempt, "y": my,
-					"mean": chosen.Pred.Mean, "sd": chosen.Pred.SD,
-				})
-				if try < c.RetryBudget {
-					alRetries.Inc()
-				}
-				continue
-			}
-			y, cost, measured = my, mcost, true
-			break
 		}
 		if !measured {
 			// Retry budget exhausted: skip the candidate entirely — out
@@ -571,9 +573,6 @@ func runLoop(ds *dataset.Dataset, part dataset.Partition, c LoopConfig, rng *ran
 			Noise:    regNoise(model),
 			Train:    len(st.train),
 		})
-		if c.OnRecord != nil {
-			c.OnRecord(st.records[len(st.records)-1])
-		}
 		iterSpan.End()
 
 		if iter%c.CheckpointEvery == 0 {
@@ -589,13 +588,9 @@ func runLoop(ds *dataset.Dataset, part dataset.Partition, c LoopConfig, rng *ran
 
 		// AMSD convergence rule (§V-B4).
 		st.amsdHist = append(st.amsdHist, amsd)
-		if c.ConvergeWindow > 0 && len(st.amsdHist) > c.ConvergeWindow {
-			w := st.amsdHist[len(st.amsdHist)-1-c.ConvergeWindow:]
-			lo, hi := stats.MinMax(w)
-			if hi-lo <= c.ConvergeTol*math.Max(1e-12, math.Abs(hi)) {
-				st.converged = true
-				break
-			}
+		if amsdConverged(st.amsdHist, c.ConvergeWindow, c.ConvergeTol) {
+			st.converged = true
+			break
 		}
 	}
 

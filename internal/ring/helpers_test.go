@@ -257,11 +257,10 @@ func expectSameTrace(t *testing.T, got, ref serve.CampaignStatus) {
 }
 
 // leakTargets mirrors the serve package's leak checker: no campaign
-// actor, engine, or detector heartbeat goroutine may survive the
-// cluster's shutdown.
+// actor or detector heartbeat goroutine may survive the cluster's
+// shutdown.
 var leakTargets = []string{
 	"serve.(*Campaign).actor",
-	"serve.(*Campaign).engine",
 	"ring.(*Detector).watch",
 }
 

@@ -199,8 +199,8 @@ func (s *CampaignSpec) strategy() (al.Strategy, error) {
 	return strat, nil
 }
 
-// loopConfig maps the spec onto the AL loop configuration the engine
-// runs. response is the dataset response column ("y" for client
+// loopConfig maps the spec onto the configuration of the campaign's
+// session. response is the dataset response column ("y" for client
 // campaigns, which never read a dataset).
 func (s *CampaignSpec) loopConfig(response string) (al.LoopConfig, error) {
 	strat, err := s.strategy()
@@ -229,16 +229,15 @@ func (s *CampaignSpec) loopConfig(response string) (al.LoopConfig, error) {
 	}, nil
 }
 
-// Observation is one accepted oracle return — the unit of the
+// Observation is one accepted measurement — the unit of the
 // event-sourced journal. Y may be non-finite (a client reporting a
 // failed measurement), so both fields use the NaN-safe JSON float.
 // Key is the client's idempotency key, persisted so resume rebuilds the
 // dedup index and an at-least-once client can never double-feed the
-// engine across a crash. X is the input point the observation answered
-// (the suggestion's coordinates); replay ignores it, but recording it
-// makes every journal a (x, y, cost) training set for surrogate oracles
-// (internal/surrogate). Journals written before X existed load with a
-// nil X.
+// session across a crash. X is the input point the observation answered:
+// replay checks it against the point the session asks for (a nil X,
+// from journals written before X existed, is not checked), and it makes
+// every journal a (x, y, cost) training set for surrogate oracles.
 type Observation struct {
 	X    []float64    `json:"x,omitempty"`
 	Y    al.JSONFloat `json:"y"`
@@ -246,9 +245,9 @@ type Observation struct {
 	Key  string       `json:"key,omitempty"`
 }
 
-// Suggestion is the campaign's pending next experiment: the input point
-// the engine is blocked on, fenced by a sequence number so an
-// observation can never be applied to the wrong suggestion.
+// Suggestion is the campaign's pending next experiment: the point the
+// session asked for, fenced by a sequence number so an observation can
+// never be applied to the wrong suggestion.
 type Suggestion struct {
 	Seq int       `json:"seq"`
 	X   []float64 `json:"x"`

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,8 +31,8 @@ var (
 
 // Errors surfaced to HTTP clients with specific status codes.
 var (
-	// ErrNoPending means no suggestion is outstanding (the engine is
-	// computing, replaying, or the campaign is terminal).
+	// ErrNoPending means no suggestion is outstanding (the campaign is
+	// replaying its journal, measuring its dataset, or terminal).
 	ErrNoPending = errors.New("serve: no suggestion pending")
 	// ErrSeqMismatch means the observation's sequence number does not
 	// fence the pending suggestion.
@@ -43,27 +44,19 @@ var (
 	ErrNoModel = errors.New("serve: campaign has no fitted model yet")
 )
 
-// pending is the engine's outstanding suggestion: the reply channel is
-// buffered so the actor can hand the observation to the blocked engine
-// without ever blocking itself.
-type pending struct {
-	seq   int
-	x     []float64
-	reply chan Observation
-}
-
 // campaignState is every mutable field of a campaign. Only the actor
-// goroutine touches it; handlers and the engine reach it through
-// closures sent over the mailbox.
+// goroutine touches it; handlers reach it through closures sent over
+// the mailbox.
 type campaignState struct {
 	state        string
-	records      []al.IterationRecord
+	sess         *al.Session
 	model        al.Regressor
 	modelVersion int
 	journal      []Observation
-	pending      *pending
+	replay       []Observation // journal entries not yet folded through sess
+	pending      *Suggestion   // the point the session waits to be told about
 	seq          int
-	converged    bool
+	stepping     bool // the actor owes sess a step
 	err          error
 
 	// idem maps idempotency keys to the seq their observation was
@@ -72,8 +65,8 @@ type campaignState struct {
 	idem map[string]int
 }
 
-// Campaign is one live AL campaign: an al.RunOnline engine plus the
-// actor goroutine that owns its state. All exported methods are safe
+// Campaign is one live AL campaign: an al.Session driven by the actor
+// goroutine that owns all campaign state. All exported methods are safe
 // for concurrent use from any goroutine.
 type Campaign struct {
 	ID   string
@@ -81,9 +74,9 @@ type Campaign struct {
 
 	// jw is the append-only journal (nil disables persistence) — the
 	// Store-issued Appender this campaign owns. It is touched only from
-	// actor closures, so it needs no lock; the actor closes it on exit.
-	// jbreaker (shared across the manager's campaigns) fails journal
-	// appends fast when the backing store is sick.
+	// the actor goroutine, so it needs no lock; the actor closes it on
+	// exit. jbreaker (shared across the manager's campaigns) fails
+	// journal appends fast when the backing store is sick.
 	jw       Appender
 	jbreaker *resilience.Breaker
 
@@ -92,30 +85,28 @@ type Campaign struct {
 	ds       *dataset.Dataset // nil for client-sourced campaigns
 	rows     map[string]int   // x-key → dataset row, dataset source only
 
-	// Fingerprint expectation carried from a checkpoint into the
-	// replaying engine (0 = no expectation).
+	// Fingerprint expectation carried from a checkpoint into the replay
+	// (0 = no expectation).
 	resumeVersion int
 	resumeFP      uint64
-	resumeLen     int // journal entries to replay
 
-	mailbox    chan func(*campaignState)
-	stopOnce   chan struct{} // closed by Stop
-	engineDone chan struct{} // closed when the engine goroutine exits
-	closed     chan struct{} // closed by close(): actor exits
+	mailbox chan func(*campaignState)
+	ended   chan struct{} // closed when the campaign reaches a terminal state
+	closed  chan struct{} // closed by close(): actor exits
 
 	// lifecycle guards ONLY the closed flag, never campaign state: a
-	// send may not race the actor's exit, so do() holds the read lock
+	// send may not race the actor's exit, so doCtx() holds the read lock
 	// across the mailbox send and close() takes the write lock before
 	// closing. State itself stays mailbox-owned and mutex-free.
 	lifecycle sync.RWMutex
 	isClosed  bool
 }
 
-// newCampaign builds a campaign (fresh or resumed) and starts its actor
-// and engine goroutines. jw is the open journal appender (nil disables
-// persistence; the campaign takes ownership and closes it); journal is
-// the replay prefix (nil for fresh campaigns); expectVersion/expectFP
-// carry the checkpoint's integrity pin.
+// newCampaign builds a campaign (fresh or resumed) and starts its
+// actor. jw is the open journal appender (nil disables persistence; the
+// campaign takes ownership and closes it); journal is the replay prefix
+// (nil for fresh campaigns); expectVersion/expectFP carry the
+// checkpoint's integrity pin.
 func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience.Breaker, journal []Observation, expectVersion int, expectFP uint64) (*Campaign, error) {
 	c := &Campaign{
 		ID:            id,
@@ -124,10 +115,8 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 		jbreaker:      jbreaker,
 		resumeVersion: expectVersion,
 		resumeFP:      expectFP,
-		resumeLen:     len(journal),
 		mailbox:       make(chan func(*campaignState), 16),
-		stopOnce:      make(chan struct{}),
-		engineDone:    make(chan struct{}),
+		ended:         make(chan struct{}),
 		closed:        make(chan struct{}),
 	}
 	switch spec.Source {
@@ -161,7 +150,14 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 	// seq len(journal)+1 — suggestion numbering (and the idempotency
 	// keys clients derive from it) is as crash-transparent as the
 	// suggestion stream itself.
-	st := &campaignState{state: StateRunning, journal: journal, idem: make(map[string]int), seq: len(journal)}
+	st := &campaignState{
+		state:    StateRunning,
+		journal:  journal,
+		replay:   journal,
+		idem:     make(map[string]int),
+		seq:      len(journal),
+		stepping: true,
+	}
 	if len(journal) > 0 {
 		st.state = StateReplaying
 	}
@@ -172,12 +168,24 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 			st.idem[o.Key] = i + 1
 		}
 	}
+	cfg, err := c.Spec.loopConfig(c.response)
+	if err != nil {
+		return nil, err
+	}
+	cfg.OnModel = func(m al.Regressor) {
+		st.model = m
+		st.modelVersion++
+	}
+	if st.sess, err = al.NewSession(c.cands, c.Spec.Seeds, cfg, rand.New(rand.NewSource(c.Spec.Seed))); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
+	}
 	go c.actor(st)
-	go c.engine(journal)
 	return c, nil
 }
 
-// actor executes mailbox closures one at a time until close().
+// actor executes mailbox closures one at a time until close(), and
+// steps the session whenever it owes one. Work queued during a step is
+// served before the next step, so neither starves the other.
 func (c *Campaign) actor(st *campaignState) {
 	defer func() {
 		if c.jw != nil {
@@ -185,6 +193,16 @@ func (c *Campaign) actor(st *campaignState) {
 		}
 	}()
 	for {
+		if st.stepping {
+			// Let the goroutines the last closure woke — an observe
+			// handler with its ack — run before the step takes the CPU.
+			runtime.Gosched()
+			c.step(st)
+			for n := len(c.mailbox); n > 0; n-- {
+				(<-c.mailbox)(st)
+			}
+			continue
+		}
 		select {
 		case fn := <-c.mailbox:
 			fn(st)
@@ -204,14 +222,9 @@ func (c *Campaign) actor(st *campaignState) {
 	}
 }
 
-// do runs fn on the actor goroutine and waits for it. Returns false
-// when the campaign is closed and fn did not run.
-func (c *Campaign) do(fn func(*campaignState)) bool {
-	return c.doCtx(context.Background(), fn) == nil
-}
-
-// doCtx is do with deadline propagation: it gives up while queueing for
-// the mailbox or while waiting for fn to finish when ctx expires.
+// doCtx runs fn on the actor goroutine and waits for it: ErrClosed when
+// the campaign is closed, ctx.Err() when ctx expires while queueing
+// for the mailbox or while waiting for fn to finish.
 // If the closure has not STARTED by then it is abandoned (the actor
 // skips it); if it is already running, it completes — so a ctx error
 // may mean "applied but unconfirmed", the ambiguity idempotency keys
@@ -247,154 +260,103 @@ func (c *Campaign) doCtx(ctx context.Context, fn func(*campaignState)) error {
 	}
 }
 
-// engine runs al.RunOnline to completion, feeding the replay journal
-// through the oracle first. It is the ONLY goroutine that calls into
-// the AL loop, so engine-local state (replay cursor, model version,
-// integrity flag) needs no synchronization.
-func (c *Campaign) engine(replay []Observation) {
-	defer close(c.engineDone)
+// step advances the session by one point. Next runs the model update
+// and selection; a replaying campaign then answers the point from its
+// journal and a dataset campaign from its dataset, while a client
+// campaign publishes it as the pending suggestion and waits for the
+// observe that answers it.
+func (c *Campaign) step(st *campaignState) {
+	version := st.modelVersion
+	x, err := st.sess.Next()
+	if c.resumeFP != 0 && st.modelVersion != version && st.modelVersion == c.resumeVersion {
+		if fp := st.model.Fingerprint(); fp != c.resumeFP {
+			c.integrityFailure(st, fmt.Errorf("serve: resume replay diverged from checkpoint fingerprint (version %d)", c.resumeVersion), map[string]any{
+				"version": st.modelVersion,
+				"want":    strconv.FormatUint(c.resumeFP, 16),
+				"got":     strconv.FormatUint(fp, 16),
+			})
+			return
+		}
+	}
+	switch {
+	case err != nil:
+		c.finish(st, StateFailed, err)
+	case x == nil:
+		c.finish(st, StateDone, nil)
+	case len(st.replay) > 0:
+		e := st.replay[0]
+		if e.X != nil && xKey(e.X) != xKey(x) {
+			entry := len(st.journal) - len(st.replay)
+			c.integrityFailure(st, fmt.Errorf("serve: resume replay diverged from journal entry %d: journaled x %v, replay asked for %v", entry, e.X, x), map[string]any{
+				"entry": entry, "want": e.X, "got": x,
+			})
+			return
+		}
+		if st.replay = st.replay[1:]; len(st.replay) == 0 {
+			st.state = StateRunning
+		}
+		st.sess.Tell(float64(e.Y), float64(e.Cost), nil)
+	case c.ds != nil:
+		c.lookup(st, x)
+	default:
+		st.seq++
+		st.pending = &Suggestion{Seq: st.seq, X: x}
+		st.state = StateWaiting
+		st.stepping = false
+	}
+}
 
-	cfg, err := c.Spec.loopConfig(c.response)
-	if err != nil {
-		c.finalize(al.Result{}, err, false)
+// lookup answers x from the campaign's dataset, journaling the
+// observation before the session learns it.
+func (c *Campaign) lookup(st *campaignState, x []float64) {
+	row, ok := c.rows[xKey(x)]
+	if !ok {
+		st.sess.Tell(0, 0, fmt.Errorf("serve: suggested point not in dataset grid: %v", x))
 		return
 	}
-
-	version := 0
-	corrupt := false
-	cfg.OnModel = func(m al.Regressor) {
-		version++
-		if c.resumeFP != 0 && version == c.resumeVersion && m.Fingerprint() != c.resumeFP {
-			corrupt = true
-			obs.Emit("serve.resume.integrity", map[string]any{
-				"campaign": c.ID, "version": version,
-				"want": strconv.FormatUint(c.resumeFP, 16),
-				"got":  strconv.FormatUint(m.Fingerprint(), 16),
-			})
+	y, cost := c.ds.RespAt(c.response, row), c.ds.CostAt(row)
+	o := Observation{X: append([]float64(nil), x...), Y: al.JSONFloat(y), Cost: al.JSONFloat(cost)}
+	if err := c.appendJournal(st, o); err != nil {
+		// Skipping one entry would corrupt replay order, so stop
+		// journaling entirely: the valid prefix still replays and
+		// resume re-measures the rest from the dataset.
+		if c.jw != nil {
+			c.jw.Disable()
 		}
-		v := version
-		c.do(func(st *campaignState) {
-			st.model = m
-			st.modelVersion = v
-		})
+		obs.Emit("serve.journal.disabled", map[string]any{"campaign": c.ID, "err": err.Error()})
 	}
-	cfg.OnRecord = func(r al.IterationRecord) {
-		c.do(func(st *campaignState) { st.records = append(st.records, r) })
-	}
-
-	replayIdx := 0
-	oracle := al.OracleFunc(func(x []float64) (float64, float64, error) {
-		if corrupt {
-			return 0, 0, fmt.Errorf("serve: resume integrity check failed at model version %d: %w", c.resumeVersion, al.ErrStopped)
-		}
-		if replayIdx < len(replay) {
-			e := replay[replayIdx]
-			replayIdx++
-			if replayIdx == len(replay) {
-				c.do(func(st *campaignState) {
-					if st.state == StateReplaying {
-						st.state = StateRunning
-					}
-				})
-			}
-			return float64(e.Y), float64(e.Cost), nil
-		}
-		return c.measure(x)
-	})
-
-	res, runErr := al.RunOnline(c.cands, c.Spec.Seeds, oracle, cfg, rand.New(rand.NewSource(c.Spec.Seed)))
-	c.finalize(res, runErr, corrupt)
+	st.journal = append(st.journal, o)
+	observationsCount.Inc()
+	st.sess.Tell(y, cost, nil)
 }
 
-// measure performs one live experiment: dataset campaigns read the
-// dataset and journal synchronously; client campaigns publish a
-// suggestion and block until the observation arrives (journaled by the
-// observe handler before the engine wakes) or the campaign stops.
-func (c *Campaign) measure(x []float64) (float64, float64, error) {
-	select {
-	case <-c.stopOnce:
-		// Stop() interrupts dataset campaigns here, at the next oracle
-		// call — client campaigns would also unwind in the select below,
-		// but dataset campaigns never reach it.
-		return 0, 0, al.ErrStopped
-	default:
-	}
-	if c.ds != nil {
-		row, ok := c.rows[xKey(x)]
-		if !ok {
-			return 0, 0, fmt.Errorf("serve: suggested point not in dataset grid: %v", x)
-		}
-		y := c.ds.RespAt(c.response, row)
-		cost := c.ds.CostAt(row)
-		if !c.do(func(st *campaignState) {
-			o := Observation{X: append([]float64(nil), x...), Y: al.JSONFloat(y), Cost: al.JSONFloat(cost)}
-			if err := c.appendJournal(st, o); err != nil {
-				// Skipping one entry would corrupt replay order, so stop
-				// journaling entirely: the valid prefix still replays and
-				// resume re-measures the rest from the dataset.
-				if c.jw != nil {
-					c.jw.Disable()
-				}
-				obs.Emit("serve.journal.disabled", map[string]any{"campaign": c.ID, "err": err.Error()})
-			}
-			st.journal = append(st.journal, o)
-		}) {
-			return 0, 0, al.ErrStopped
-		}
-		observationsCount.Inc()
-		return y, cost, nil
-	}
-
-	reply := make(chan Observation, 1)
-	registered := c.do(func(st *campaignState) {
-		st.seq++
-		st.pending = &pending{
-			seq:   st.seq,
-			x:     append([]float64(nil), x...),
-			reply: reply,
-		}
-		st.state = StateWaiting
-	})
-	if !registered {
-		return 0, 0, al.ErrStopped
-	}
-	select {
-	case o := <-reply:
-		return float64(o.Y), float64(o.Cost), nil
-	case <-c.stopOnce:
-		return 0, 0, al.ErrStopped
-	}
+// integrityFailure fails a resumed campaign whose replay no longer
+// matches what its journal recorded.
+func (c *Campaign) integrityFailure(st *campaignState, err error, attrs map[string]any) {
+	attrs["campaign"] = c.ID
+	obs.Emit("serve.resume.integrity", attrs)
+	c.finish(st, StateFailed, err)
 }
 
-// finalize records the engine's outcome and flushes the final
-// checkpoint.
-func (c *Campaign) finalize(res al.Result, runErr error, corrupt bool) {
-	c.do(func(st *campaignState) {
-		st.pending = nil
-		st.converged = res.Converged
-		switch {
-		case corrupt:
-			st.state = StateFailed
-			st.err = fmt.Errorf("serve: resume replay diverged from checkpoint fingerprint (version %d)", c.resumeVersion)
-			campaignsFailed.Inc()
-		case runErr == nil:
-			st.state = StateDone
-			st.err = nil
-			campaignsDone.Inc()
-		case errors.Is(runErr, al.ErrStopped):
-			st.state = StateStopped
-			st.err = nil
-			campaignsStopped.Inc()
-		default:
-			st.state = StateFailed
-			st.err = runErr
-			campaignsFailed.Inc()
-		}
-		c.appendFinal(st)
-		obs.Emit("serve.campaign.finished", map[string]any{
-			"campaign": c.ID, "state": st.state, "records": len(st.records),
-		})
+// finish moves the campaign to a terminal state and flushes the final
+// journal line.
+func (c *Campaign) finish(st *campaignState, state string, err error) {
+	st.state, st.err = state, err
+	st.pending = nil
+	st.stepping = false
+	switch state {
+	case StateDone:
+		campaignsDone.Inc()
+	case StateFailed:
+		campaignsFailed.Inc()
+	case StateStopped:
+		campaignsStopped.Inc()
+	}
+	c.appendFinal(st)
+	obs.Emit("serve.campaign.finished", map[string]any{
+		"campaign": c.ID, "state": st.state, "records": len(st.sess.Result().Records),
 	})
+	close(c.ended)
 }
 
 // appendFinal writes the terminal journal line (best effort: a failure
@@ -411,25 +373,26 @@ func (c *Campaign) appendFinal(st *campaignState) {
 	if st.err != nil {
 		errMsg = st.err.Error()
 	}
-	if err := c.jw.AppendFinal(st.state, errMsg, st.converged, st.modelVersion, fp); err != nil {
+	if err := c.jw.AppendFinal(st.state, errMsg, st.sess.Result().Converged, st.modelVersion, fp); err != nil {
 		journalAppendErrs.Inc()
 		obs.Emit("serve.journal.error", map[string]any{"campaign": c.ID, "err": err.Error()})
 	}
 }
 
-// Stop asks the engine to unwind at the next oracle interaction. Safe
-// to call more than once; idempotent after the first call.
-func (c *Campaign) Stop() {
-	select {
-	case <-c.stopOnce:
-	default:
-		close(c.stopOnce)
-	}
+// Stop moves a campaign that is not yet terminal straight to
+// "stopped", dropping any pending suggestion and flushing the terminal
+// journal line; the journal resumes it later. A step in progress
+// finishes first, unless ctx expires. Safe to call more than once.
+func (c *Campaign) Stop(ctx context.Context) error {
+	return c.doCtx(ctx, func(st *campaignState) {
+		if !terminal(st.state) {
+			c.finish(st, StateStopped, nil)
+		}
+	})
 }
 
-// close shuts the actor down. Callers must Stop and drain the engine
-// first (Manager.remove does); afterwards every Campaign method returns
-// ErrClosed.
+// close shuts the actor down. Callers must Stop first (Manager.Release
+// and Shutdown do); afterwards every Campaign method returns ErrClosed.
 func (c *Campaign) close() {
 	c.lifecycle.Lock()
 	defer c.lifecycle.Unlock()
@@ -439,11 +402,12 @@ func (c *Campaign) close() {
 	}
 }
 
-// Wait blocks until the engine goroutine has exited.
-func (c *Campaign) Wait() { <-c.engineDone }
+// Wait blocks until the campaign has reached a terminal state.
+func (c *Campaign) Wait() { <-c.ended }
 
-// Suggest returns the pending suggestion, ErrNoPending when the engine
-// is not waiting on a measurement, or ErrClosed.
+// Suggest returns the pending suggestion, ErrNoPending when none is
+// outstanding, or ErrClosed. A suggest that arrives while the actor is
+// selecting the next point waits for it in the mailbox.
 func (c *Campaign) Suggest() (Suggestion, error) {
 	return c.SuggestCtx(context.Background())
 }
@@ -457,7 +421,7 @@ func (c *Campaign) SuggestCtx(ctx context.Context) (Suggestion, error) {
 			err = fmt.Errorf("%w (state %s)", ErrNoPending, st.state)
 			return
 		}
-		out = Suggestion{Seq: st.pending.seq, X: append([]float64(nil), st.pending.x...)}
+		out = Suggestion{Seq: st.pending.Seq, X: append([]float64(nil), st.pending.X...)}
 	}); derr != nil {
 		return Suggestion{}, derr
 	}
@@ -473,12 +437,12 @@ func (c *Campaign) Observe(seq int, y, cost float64) error {
 
 // ObserveKeyed applies a measurement to the pending suggestion
 // identified by seq, with deadline propagation and idempotent retries.
-// The observation is journaled (write+fsync) BEFORE the engine wakes
-// and before the call returns, so an acknowledged observation is
+// The observation is journaled (write+fsync) BEFORE the session learns
+// it and before the call returns, so an acknowledged observation is
 // durable — and a journal append failure REJECTS the observation
-// (ErrJournal → HTTP 503) without waking the engine, so an observation
-// is never acknowledged unjournaled. key, when non-empty, dedups
-// retries: resubmitting an already-applied key returns the seq it was
+// (ErrJournal → HTTP 503) without telling the session, so an
+// observation is never acknowledged unjournaled. key, when non-empty,
+// dedups retries: resubmitting an already-applied key returns the seq it was
 // applied at instead of a seq-mismatch error, which makes at-least-once
 // delivery (retries after lost responses, duplicated requests) safe.
 func (c *Campaign) ObserveKeyed(ctx context.Context, seq int, y, cost float64, key string) (int, error) {
@@ -496,12 +460,12 @@ func (c *Campaign) ObserveKeyed(ctx context.Context, seq int, y, cost float64, k
 			err = fmt.Errorf("%w (state %s)", ErrNoPending, st.state)
 			return
 		}
-		if st.pending.seq != seq {
-			err = fmt.Errorf("%w: got seq %d, pending is %d", ErrSeqMismatch, seq, st.pending.seq)
+		if st.pending.Seq != seq {
+			err = fmt.Errorf("%w: got seq %d, pending is %d", ErrSeqMismatch, seq, st.pending.Seq)
 			return
 		}
 		o := Observation{
-			X:    append([]float64(nil), st.pending.x...),
+			X:    append([]float64(nil), st.pending.X...),
 			Y:    al.JSONFloat(y),
 			Cost: al.JSONFloat(cost),
 			Key:  key,
@@ -513,9 +477,10 @@ func (c *Campaign) ObserveKeyed(ctx context.Context, seq int, y, cost float64, k
 		if key != "" {
 			st.idem[key] = seq
 		}
-		st.pending.reply <- o
 		st.pending = nil
 		st.state = StateRunning
+		st.sess.Tell(y, cost, nil)
+		st.stepping = true
 	}); derr != nil {
 		if errors.Is(derr, ErrClosed) {
 			return 0, ErrClosed
@@ -563,8 +528,8 @@ func (c *Campaign) appendJournal(st *campaignState, o Observation) error {
 func (c *Campaign) Model() (al.Regressor, int, error) {
 	var m al.Regressor
 	var v int
-	if !c.do(func(st *campaignState) { m, v = st.model, st.modelVersion }) {
-		return nil, 0, ErrClosed
+	if err := c.doCtx(context.Background(), func(st *campaignState) { m, v = st.model, st.modelVersion }); err != nil {
+		return nil, 0, err
 	}
 	if m == nil {
 		return nil, 0, ErrNoModel
@@ -575,10 +540,10 @@ func (c *Campaign) Model() (al.Regressor, int, error) {
 // Records returns a copy of the iteration records so far.
 func (c *Campaign) Records() ([]al.IterationRecord, error) {
 	var out []al.IterationRecord
-	if !c.do(func(st *campaignState) {
-		out = append(out, st.records...)
-	}) {
-		return nil, ErrClosed
+	if err := c.doCtx(context.Background(), func(st *campaignState) {
+		out = append(out, st.sess.Result().Records...)
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -600,22 +565,23 @@ func (c *Campaign) StatusCtx(ctx context.Context, withRecords bool) (CampaignSta
 		Strategy: strat.Name(),
 	}
 	if derr := c.doCtx(ctx, func(st *campaignState) {
+		res := st.sess.Result()
 		out.State = st.state
 		out.Observations = len(st.journal)
 		out.ModelVersion = st.modelVersion
-		out.Converged = st.converged
+		out.Converged = res.Converged
 		if st.model != nil {
 			out.Fingerprint = st.model.Fingerprint()
 		}
 		if st.pending != nil {
-			out.Pending = &Suggestion{Seq: st.pending.seq, X: append([]float64(nil), st.pending.x...)}
+			out.Pending = &Suggestion{Seq: st.pending.Seq, X: append([]float64(nil), st.pending.X...)}
 		}
 		if st.err != nil {
 			out.Error = st.err.Error()
 		}
 		if withRecords {
-			out.Records = make([]al.JSONRecord, len(st.records))
-			for i, r := range st.records {
+			out.Records = make([]al.JSONRecord, len(res.Records))
+			for i, r := range res.Records {
 				out.Records[i] = al.ToJSONRecord(r)
 			}
 		}
@@ -623,6 +589,15 @@ func (c *Campaign) StatusCtx(ctx context.Context, withRecords bool) (CampaignSta
 		return CampaignStatus{}, derr
 	}
 	return out, nil
+}
+
+// terminal reports whether a campaign in state has ended.
+func terminal(state string) bool {
+	switch state {
+	case StateDone, StateFailed, StateStopped:
+		return true
+	}
+	return false
 }
 
 // xKey encodes an input point as the exact bit pattern of its

@@ -7,44 +7,45 @@
 //
 // # Architecture
 //
-// A Manager owns a set of Campaigns. Each campaign runs TWO goroutines:
+// A Manager owns a set of Campaigns. Each campaign runs ONE goroutine,
+// its actor, which owns an al.Session (the ask/tell AL loop) and all
+// other mutable campaign state. There is no per-campaign mutex:
+// handlers send closures over the campaign mailbox and the actor runs
+// them one at a time. A fitted model is immutable, so model pointers
+// cross goroutines freely.
 //
-//   - The engine goroutine executes al.RunOnline unmodified. Its Oracle
-//     either reads a server-side dataset (source "dataset") or blocks on
-//     the campaign mailbox until a client POSTs the measurement (source
-//     "client"). Because the engine IS al.RunOnline, a campaign driven
-//     over HTTP produces an iteration trace identical to the equivalent
-//     direct call — that identity is the service's core invariant and is
-//     enforced by TestClientCampaignTraceMatchesRunOnline, the stress
-//     suite, and the chaos suite.
-//
-//   - The actor goroutine owns all mutable campaign state (records,
-//     current model, pending suggestion, observation journal). There is
-//     no per-campaign mutex: handlers and the engine send closures over
-//     the campaign mailbox channel and the actor executes them one at a
-//     time. Model pointers cross goroutines freely — a fitted *gp.GP is
-//     immutable and safe for concurrent reads.
+// Whenever the session owes a step, the actor runs Session.Next itself.
+// A "client" campaign publishes the point as its pending suggestion; an
+// observe journals the measurement and Tells the session, and the actor
+// yields to the acked handler before it steps again. A suggest arriving
+// mid-step waits in the mailbox. A "dataset" campaign
+// answers each point from its dataset, one step per actor turn. As
+// al.RunOnline drives the same Session, an HTTP-driven campaign's trace
+// equals the direct call's — the service's core invariant, enforced by
+// TestClientCampaignTraceMatchesRunOnline and the stress and chaos
+// suites.
 //
 // # Durability
 //
 // Campaign persistence is event-sourced: an append-only JSONL journal
 // (one file per campaign — a header line, one line per accepted
 // observation, and a terminal line when the campaign ends) stores the
-// campaign spec plus the ordered oracle returns, not a model snapshot.
+// campaign spec plus the ordered observations, not a model snapshot.
 // Each record costs one write plus one fsync, and every observation is
 // journaled BEFORE it is acknowledged — for client campaigns a journal
 // failure rejects the observation with ErrJournal (fail closed) rather
 // than ack data that would not survive a crash. A crash can tear at
 // most the final, unacknowledged line; the loader drops a torn tail
-// and resumes from the last complete record. Resume re-runs the engine
-// and feeds the journal back through the oracle; the engine
+// and resumes from the last complete record. Resume folds the journal
+// through a fresh session, one Tell per entry; the session
 // deterministically replays every fit, rejection, retry and RNG draw,
 // so the rebuilt state — records, model, and the subsequent suggestion
-// stream — is byte-identical to the uninterrupted run. gp.Fingerprint
-// guards the invariant: the journal records the model fingerprint at
-// its model version, and a replay that reaches that version with a
-// different fingerprint fails the campaign instead of serving silently
-// diverged suggestions.
+// stream — is byte-identical to the uninterrupted run. Two checks guard
+// the invariant, and either fails the campaign instead of serving
+// silently diverged suggestions: each point the replay asks for must
+// equal the entry's journaled x bit for bit, and the journal records
+// the model fingerprint at its model version, which a replay reaching
+// that version must reproduce.
 //
 // # Storage
 //
@@ -64,8 +65,8 @@
 // Manager.Shutdown is idempotent and safe to call concurrently — with
 // itself, with Delete/Release, and with in-flight suggest, observe, and
 // predict traffic. Exactly one caller performs the drain: it marks the
-// manager closed (new work is rejected with ErrClosed), stops every
-// campaign, and waits for the engines to unwind under its context.
+// manager closed (new work is rejected with ErrClosed) and stops every
+// campaign under its context; each actor finishes the step it is in.
 // Every other call, concurrent or later, waits for that drain and
 // returns its outcome; a caller whose own context dies first gets that
 // context error, but once the drain has finished even an
@@ -79,7 +80,7 @@
 //
 // The HTTP layer wraps the campaign core in production defenses
 // (internal/resilience, DESIGN.md §10): per-route context deadlines
-// that the actor and engine honor, a bounded admission gate that sheds
+// that the actor honors, a bounded admission gate that sheds
 // excess load with 429 + Retry-After and flips /healthz to "degraded"
 // past its high watermark, circuit breakers around the scoring pool
 // and journal writes, and idempotent observes — a client that sends an

@@ -8,11 +8,10 @@ import (
 )
 
 // leakTargets are the long-lived goroutines this package owns. Every
-// campaign starts exactly one of each; after its manager shuts down (or
+// campaign starts exactly one actor; after its manager shuts down (or
 // the campaign is deleted) none may survive.
 var leakTargets = []string{
 	"serve.(*Campaign).actor",
-	"serve.(*Campaign).engine",
 }
 
 // leakedServeGoroutines snapshots all goroutine stacks and returns the

@@ -51,7 +51,7 @@ type Config struct {
 	// MaxConcurrentScores bounds how many scoring operations (predict
 	// batches) run at once across ALL campaigns — the global worker-pool
 	// throttle that keeps a burst of predict requests from oversubscribing
-	// the cores the campaign engines are fitting on (default GOMAXPROCS).
+	// the cores the campaigns are fitting on (default GOMAXPROCS).
 	MaxConcurrentScores int
 
 	// ScoreBreaker and JournalBreaker tune the circuit breakers guarding
@@ -206,8 +206,8 @@ func (m *Manager) bumpNextID(id string) {
 }
 
 // ResumeAll relaunches every campaign the store holds, in the store's
-// deterministic id order; each engine replays its journal and continues
-// (or finishes) from the exact interrupted state. Returns the number of
+// deterministic id order; each campaign replays its journal and
+// continues (or finishes) from the exact interrupted state. Returns the number of
 // campaigns resumed; corrupt journals are skipped with an event rather
 // than failing the boot.
 func (m *Manager) ResumeAll() (int, error) {
@@ -233,8 +233,9 @@ func (m *Manager) ResumeAll() (int, error) {
 }
 
 // ResumeOne loads one persisted campaign from the store and relaunches
-// it: the engine replays the journal and continues from the interrupted
-// state, with the checkpoint's fingerprint pinning replay integrity.
+// it: the campaign replays the journal and continues from the
+// interrupted state, with the checkpoint's fingerprint pinning replay
+// integrity.
 // Used at boot via ResumeAll and by the cluster layer when a node
 // adopts a shipped campaign after failover or migration.
 func (m *Manager) ResumeOne(id string) error {
@@ -310,9 +311,8 @@ func (m *Manager) List() []*Campaign {
 	return out
 }
 
-// Delete stops the campaign, waits for its engine, removes it from the
-// manager, and deletes its journal — a deleted campaign does not come
-// back on restart.
+// Delete stops the campaign, removes it from the manager, and deletes
+// its journal — a deleted campaign does not come back on restart.
 func (m *Manager) Delete(id string) error {
 	if err := m.Release(id); err != nil {
 		return err
@@ -325,10 +325,10 @@ func (m *Manager) Delete(id string) error {
 	return nil
 }
 
-// Release stops the campaign, waits for its engine, and removes it from
-// the manager WITHOUT touching its journal: the campaign can be resumed
-// here later (ResumeOne) or shipped to another node and adopted there —
-// the handoff primitive behind cluster migration.
+// Release stops the campaign and removes it from the manager WITHOUT
+// touching its journal: the campaign can be resumed here later
+// (ResumeOne) or shipped to another node and adopted there — the
+// handoff primitive behind cluster migration.
 func (m *Manager) Release(id string) error {
 	m.mu.Lock()
 	c, ok := m.campaigns[id]
@@ -340,8 +340,7 @@ func (m *Manager) Release(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	c.Stop()
-	c.Wait()
+	c.Stop(context.Background())
 	c.close()
 	return nil
 }
@@ -424,23 +423,19 @@ func (m *Manager) PredictCtx(ctx context.Context, c *Campaign, points [][]float6
 }
 
 // CampaignCount reports (total, terminal) campaign counts for /healthz.
-func (m *Manager) CampaignCount() (total, terminal int) {
+func (m *Manager) CampaignCount() (total, ended int) {
 	for _, c := range m.List() {
 		total++
-		if st, err := c.Status(false); err == nil {
-			switch st.State {
-			case StateDone, StateFailed, StateStopped:
-				terminal++
-			}
+		if st, err := c.Status(false); err == nil && terminal(st.State) {
+			ended++
 		}
 	}
-	return total, terminal
+	return total, ended
 }
 
-// Shutdown gracefully stops every campaign: engines unwind at their
-// next oracle interaction (client-blocked engines immediately), final
-// checkpoints flush, and actors exit. Respects ctx for the engine
-// drain.
+// Shutdown gracefully stops every campaign: each actor finishes the
+// step it is in, moves its campaign to "stopped", flushes the final
+// journal line, and exits. Respects ctx for the drain.
 //
 // Shutdown is idempotent and safe to call concurrently with itself,
 // with Delete/Release, and with in-flight suggest/observe/predict
@@ -475,17 +470,14 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 	m.mu.Unlock()
 
-	for _, c := range all {
-		c.Stop()
-	}
 	var err error
 	for _, c := range all {
-		select {
-		case <-c.engineDone:
-			c.close()
-		case <-ctx.Done():
-			err = fmt.Errorf("serve: shutdown interrupted with campaign %s still draining: %w", c.ID, ctx.Err())
+		// A campaign a concurrent Release closed is already stopped.
+		if serr := c.Stop(ctx); serr != nil && !errors.Is(serr, ErrClosed) {
+			err = fmt.Errorf("serve: shutdown interrupted with campaign %s still draining: %w", c.ID, serr)
+			continue
 		}
+		c.close()
 	}
 	obs.Emit("serve.shutdown", map[string]any{"campaigns": len(all)})
 	m.drainErr = err
