@@ -436,7 +436,7 @@ func runCell(ctx context.Context, grid *EvalGrid, p *evalProblem, strat EvalStra
 		if err != nil {
 			var he *httpError
 			if errors.As(err, &he) && he.code == http.StatusConflict {
-				// No pending suggestion: the engine is fitting, or done.
+				// No pending suggestion: the campaign is replaying, or done.
 				if err := doJSON(ctx, grid.Client, http.MethodGet, base, nil, &st, ""); err != nil {
 					return cell, err
 				}
@@ -460,7 +460,7 @@ func runCell(ctx context.Context, grid *EvalGrid, p *evalProblem, strat EvalStra
 			return cell, fmt.Errorf("suggest: %w", err)
 		}
 
-		// While this suggestion is pending the engine is blocked, so the
+		// While this suggestion is pending the session waits for it, so the
 		// model deterministically covers observations 1..seq-1 — sample
 		// the learning curve before answering (once a model exists, i.e.
 		// after the seed measurements).

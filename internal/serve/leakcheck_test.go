@@ -15,7 +15,7 @@ var leakTargets = []string{
 }
 
 // leakedServeGoroutines snapshots all goroutine stacks and returns the
-// ones still running campaign actors or engines.
+// ones still running campaign actors.
 func leakedServeGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
