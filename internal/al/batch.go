@@ -137,21 +137,6 @@ func FinalRMSEs(results []Result) []float64 {
 	return out
 }
 
-// MinAMSD returns the smallest AMSD any run reached — used by the Fig. 7
-// overfitting check (AMSD collapsing far below its stable value signals a
-// degenerate noise fit).
-func MinAMSD(results []Result) float64 {
-	m := math.Inf(1)
-	for _, r := range results {
-		for _, rec := range r.Records {
-			if rec.AMSD < m {
-				m = rec.AMSD
-			}
-		}
-	}
-	return m
-}
-
 // EarlySDCollapseFraction reports the fraction of runs whose selected-point
 // SD drops below threshold within the first k iterations — the §V-B4
 // symptom ("σ_f(x) drops to negligible values before the 5th iteration").

@@ -52,19 +52,22 @@
 //
 //   - Strategy / ModelAwareStrategy: acquisition rules over Candidate
 //     scores; NewStrategy/StrategyNames: the registry.
+//   - Session: the one AL loop body, as ask/tell — Next selects a
+//     point, Tell reports its measurement. It owns the retry, guard,
+//     skip, budget and convergence rules; every entry point below is a
+//     Next → measure → Tell driver over it.
 //   - LoopConfig / Run: one AL realization over a dataset Partition
-//     (Initial seeds, Active pool, Test RMSE); IterationRecord carries
-//     the §V-B3 monitoring quantities per step.
-//   - Session: the loop against live experiments (§VI) as ask/tell —
-//     Next selects a point, Tell reports its measurement. RunOnline
-//     drives one with an Oracle; internal/serve campaigns drive it
-//     directly.
+//     (Initial rows enter measured, Active is the pool, Test fills
+//     RMSE and Coverage); Resume continues one from its Checkpoint.
+//     IterationRecord carries the §V-B3 monitoring quantities per step.
+//   - RunOnline: the loop against live experiments (§VI) through an
+//     Oracle; internal/serve campaigns drive a Session directly.
 //   - BatchSelect / BatchSelectKCenter / RunParallel: batched selection
 //     with simulated scheduler accounting (ablation A4).
 //
 // # Regressor contract
 //
-// The loop is generic over its model: Run, RunOnline and every zoo
+// The loop is generic over its model: the Session and every zoo
 // strategy consume the Regressor interface — Predict / PredictBatch /
 // UpdateWithPoint / Fingerprint / NumTrain — not *gp.GP. Three tiers
 // implement it, selected by LoopConfig.Model ("dense", the default;
@@ -103,19 +106,22 @@
 //
 // # Observability
 //
-// Run and Session.Next open one "al.iteration" span per step with
-// "al.model.update", "al.score" and "al.select" children, and feed the
-// al.* counters; RunOnline times each oracle call as "al.experiment"; every selection increments al.strategy.select.<name>,
-// and QBC counts committee fits under al.strategy.qbc.*. See
-// OBSERVABILITY.md for the full catalog.
+// Session.Next opens one "al.iteration" span per step with
+// "al.model.update", "al.score" and "al.select" children, and feeds the
+// al.* counters; for every driver (Run, Resume, RunOnline, a served
+// campaign) the span covers Next only, never the measurement.
+// RunOnline times each oracle call as "al.experiment"; every selection
+// increments al.strategy.select.<name>, and QBC counts committee fits
+// under al.strategy.qbc.*. See OBSERVABILITY.md for the full catalog.
 //
 // # Concurrency contract
 //
-// Strategies are stateless values and safe for concurrent use. Run,
-// RunOnline, Session, RunParallel and the config/result structs are not
-// goroutine-safe: each realization owns its *rand.Rand and dataset
-// partition, so run concurrent realizations with separate arguments
-// (as al.RunBatch does internally).
+// Strategies are stateless values and safe for concurrent use. A
+// Session is not: each realization owns one, with its *rand.Rand, and
+// Run, Resume and RunOnline step theirs on the calling goroutine. The
+// same holds for RunParallel and the config/result structs, so run
+// concurrent realizations with separate arguments (as al.RunBatch does
+// internally).
 //
 // # Scorer pool
 //

@@ -56,10 +56,6 @@ type Criterion func(p gp.Prediction) float64
 // VarianceCriterion is the continuous analogue of VarianceReduction.
 func VarianceCriterion(p gp.Prediction) float64 { return p.SD }
 
-// CostEfficiencyCriterion is the continuous analogue of CostEfficiency
-// (log-space variance/cost ratio).
-func CostEfficiencyCriterion(p gp.Prediction) float64 { return p.SD - p.Mean }
-
 // ContinuousSelectGrad maximizes the predictive standard deviation over a
 // continuous box by multi-start L-BFGS using the GP's analytic input-space
 // gradients ∂σ/∂x — the gradient-based continuous selection the paper's

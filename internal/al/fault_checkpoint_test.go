@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -152,6 +153,16 @@ func TestRunSurvivesInjectedFaults(t *testing.T) {
 	}
 }
 
+// runWith drives Run's dataset session with a custom experiment in
+// place of the dataset lookup.
+func runWith(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, measure func(row int, x []float64, attempt int) (float64, float64, error)) (Result, error) {
+	s, err := newRunSession(ds, part, cfg, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.drive(measure)
+}
+
 // A candidate whose measurement keeps failing is skipped: dropped from
 // the pool, never entering the training set, with the iteration leaving
 // no record.
@@ -162,7 +173,7 @@ func TestExhaustedRetryBudgetSkipsCandidate(t *testing.T) {
 	part := synthPartition(t, ds, 4)
 	cfg := quickLoop(VarianceReduction{}, 5)
 	failRow := -1
-	cfg.Measure = func(row int, x []float64, attempt int) (float64, float64, error) {
+	measure := func(row int, x []float64, attempt int) (float64, float64, error) {
 		if failRow == -1 {
 			failRow = row // doom whichever candidate is selected first
 		}
@@ -172,7 +183,7 @@ func TestExhaustedRetryBudgetSkipsCandidate(t *testing.T) {
 		return ds.RespAt("y", row), ds.CostAt(row), nil
 	}
 	cfg.RetryBudget = 1
-	res, err := Run(ds, part, cfg, nil)
+	res, err := runWith(ds, part, cfg, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,13 +208,13 @@ func TestNonFiniteObservationRejectedThenRetried(t *testing.T) {
 	ds := synthDS(t, 30, 0.05, 3)
 	part := synthPartition(t, ds, 4)
 	cfg := quickLoop(VarianceReduction{}, 4)
-	cfg.Measure = func(row int, x []float64, attempt int) (float64, float64, error) {
+	measure := func(row int, x []float64, attempt int) (float64, float64, error) {
 		if attempt == 0 {
 			return math.NaN(), 0, nil // first reading of every row is garbage
 		}
 		return ds.RespAt("y", row), ds.CostAt(row), nil
 	}
-	res, err := Run(ds, part, cfg, nil)
+	res, err := runWith(ds, part, cfg, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +240,14 @@ func TestGuardRejectsGrossOutlier(t *testing.T) {
 	part := synthPartition(t, ds, 4)
 	cfg := quickLoop(VarianceReduction{}, 4)
 	cfg.GuardSigma = 3
-	cfg.Measure = func(row int, x []float64, attempt int) (float64, float64, error) {
+	measure := func(row int, x []float64, attempt int) (float64, float64, error) {
 		y := ds.RespAt("y", row)
 		if attempt == 0 {
 			return y + 1000, 0, nil // gross, finite outlier
 		}
 		return y, ds.CostAt(row), nil
 	}
-	res, err := Run(ds, part, cfg, nil)
+	res, err := runWith(ds, part, cfg, measure)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func RunParallel(ds *dataset.Dataset, part dataset.Partition, cfg ParallelConfig
 		cands := make([]Candidate, len(pool))
 		var amsd float64
 		for i, row := range pool {
-			cands[i] = Candidate{Row: row, X: poolX.RawRow(i), Pred: preds[i], Cost: ds.CostAt(row)}
+			cands[i] = Candidate{Row: row, X: poolX.RawRow(i), Pred: preds[i]}
 			amsd += preds[i].SD
 		}
 		amsd /= float64(len(pool))

@@ -15,12 +15,10 @@ type Candidate struct {
 	// X is the candidate's input vector.
 	X []float64
 	// Pred is the GP predictive distribution at X (in model space, i.e.
-	// log-transformed units when the dataset is log-transformed).
+	// log-transformed units when the dataset is log-transformed). The
+	// paper's cost-aware strategy reads the experiment cost from it: the
+	// *predicted* cost μ, not a measured one.
 	Pred gp.Prediction
-	// Cost is the candidate's known experiment cost (used only by
-	// cost-model-free baselines; the paper's cost-aware strategy uses
-	// the *predicted* cost μ instead).
-	Cost float64
 }
 
 // Strategy scores pool candidates and picks the next experiment.
