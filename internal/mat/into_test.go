@@ -217,3 +217,19 @@ func TestNewCholeskyIntoCountsAndReuses(t *testing.T) {
 		t.Fatalf("reused factor/inverse/solve allocates %v times per run", allocs)
 	}
 }
+
+// factorEntries returns the lower triangle of ch's factor row by row:
+// row i contributes L[i,0..i].
+func factorEntries(ch *Cholesky) []float64 {
+	n := ch.Size()
+	out := make([]float64, 0, n*(n+1)/2)
+	for i := 0; i < n; i++ {
+		out = append(out, ch.L().RawRow(i)[:i+1]...)
+	}
+	return out
+}
+
+// forwardSubst4 runs ch's four-lane forward solve.
+func forwardSubst4(ch *Cholesky, dst, b []float64) {
+	PackCholesky(ch).ForwardSubst4Into(dst, b)
+}
