@@ -52,7 +52,7 @@
 // PredictBatch scores m rows without building the m×n cross-covariance.
 // It streams the rows in blocks of four through one O(4n) scratch: the
 // block's k* vectors stored interleaved, solved in place by one
-// mat.TriPacked.ForwardSubst4Into pass. Besides its m-entry result, a
+// mat.Cholesky.ForwardSubst4Into pass. Besides its m-entry result, a
 // call allocates that scratch and nothing else, and drops it on return;
 // the GP holds no scoring buffer and no cache across calls. Each row's
 // mean and SD are bit-identical to Predict at that row.

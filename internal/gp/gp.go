@@ -117,10 +117,10 @@ type GP struct {
 
 	logSN float64 // log noise standard deviation
 
-	chol   *mat.TriPacked // factor of Ky = K + σn² I (plus any jitter), packed
-	alpha  mat.Vec        // Ky⁻¹ y
-	lml    float64        // log marginal likelihood at the fitted hypers
-	jitter float64        // jitter actually added to make Ky PD
+	chol   *mat.Cholesky // factor of Ky = K + σn² I (plus any jitter)
+	alpha  mat.Vec       // Ky⁻¹ y
+	lml    float64       // log marginal likelihood at the fitted hypers
+	jitter float64       // jitter actually added to make Ky PD
 }
 
 // ErrNoData is returned when Fit is called without observations.
@@ -274,10 +274,7 @@ func (g *GP) factorize() error {
 	if err != nil {
 		return fmt.Errorf("gp: covariance factorization failed: %w", err)
 	}
-	// The factor is stored packed: half the resident memory per model
-	// snapshot, and half the clone cost of every bordered Extended
-	// update in the incremental conditioning path.
-	g.chol = mat.PackCholesky(ch)
+	g.chol = ch
 	g.jitter = jit
 	g.alpha = ch.SolveVec(g.y)
 	g.lml = -0.5*mat.Dot(g.y, g.alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)

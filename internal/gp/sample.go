@@ -44,7 +44,7 @@ func (g *GP) PosteriorSample(xs *mat.Dense, rng *rand.Rand) ([]float64, error) {
 	for i := range z {
 		z[i] = rng.NormFloat64()
 	}
-	lz := chS.L().MulVec(z)
+	lz := chS.Unpack().MulVec(z)
 	out := make([]float64, m)
 	for i := 0; i < m; i++ {
 		out[i] = g.yMean + g.yStd*(mu[i]+lz[i])

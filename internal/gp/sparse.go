@@ -344,7 +344,7 @@ func (s *SparseGP) UpdateWithPoint(x []float64, y float64) (*SparseGP, error) {
 	cholA2 := s.cholA.RankOneUpdate(v)
 	ok := true
 	for i := 0; i < m; i++ {
-		if d := cholA2.L().At(i, i); d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+		if d := cholA2.At(i, i); d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 			ok = false
 			break
 		}

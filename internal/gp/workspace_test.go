@@ -56,7 +56,14 @@ func refNegLML(g *GP, theta, grad []float64) float64 {
 	alpha := ch.SolveVec(g.y)
 	lml := -0.5*mat.Dot(g.y, alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
 	if grad != nil {
-		kinv := ch.Solve(mat.Eye(n))
+		kinv := mat.New(n, n)
+		for j := 0; j < n; j++ {
+			e := make(mat.Vec, n)
+			e[j] = 1
+			for i, v := range ch.SolveVec(e) {
+				kinv.Set(i, j, v)
+			}
+		}
 		nk := g.kern.NumHyper()
 		for j := 0; j < nk; j++ {
 			var s float64

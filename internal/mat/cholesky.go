@@ -24,10 +24,28 @@ var (
 var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 
 // Cholesky holds the lower-triangular factor L of a symmetric
-// positive-definite matrix A = L·Lᵀ.
+// positive-definite matrix A = L·Lᵀ in packed row-major storage: row i
+// occupies data[i(i+1)/2 : i(i+1)/2+i+1]. Packing halves the memory of
+// every stored factor and of every bordered Extended update, which
+// copies the whole factor because fitted models are immutable snapshots
+// (see the gp concurrency contract). All methods treat the receiver as
+// read-only; Extended and the rank-one updates return a new factor.
+//
+// Every product-accumulate in the factor kernels is written
+// s -= float64(a*b): the explicit conversion rounds the product, so no
+// target fuses it into an FMA and the bits match on every architecture.
 type Cholesky struct {
-	l *Dense // lower triangular, upper strictly zero
-	n int
+	n    int
+	data []float64
+}
+
+// packedLen returns the packed storage size for an n×n lower triangle.
+func packedLen(n int) int { return n * (n + 1) / 2 }
+
+// row returns row i (length i+1), aliased.
+func (c *Cholesky) row(i int) []float64 {
+	off := i * (i + 1) / 2
+	return c.data[off : off+i+1]
 }
 
 // NewCholesky factorizes the symmetric positive-definite matrix a.
@@ -49,19 +67,17 @@ func NewCholeskyInto(dst *Cholesky, a *Dense) (*Cholesky, error) {
 	choleskySize.Observe(float64(n))
 	start := time.Now()
 	defer func() { choleskyDur.Observe(time.Since(start).Seconds()) }()
-	if dst.l == nil || dst.l.rows != n || dst.l.cols != n {
-		dst.l = New(n, n)
+	if len(dst.data) != packedLen(n) {
+		dst.data = make([]float64, packedLen(n))
 	}
 	dst.n = n
-	l := dst.l
 	for i := 0; i < n; i++ {
-		lrow := l.data[i*n : (i+1)*n]
-		clear(lrow[i+1:]) // upper strictly zero, whatever dst held before
+		lrow := dst.row(i)
 		for j := 0; j <= i; j++ {
 			s := a.data[i*n+j]
-			ljrow := l.data[j*n : (j+1)*n]
+			ljrow := dst.row(j)
 			for k := 0; k < j; k++ {
-				s -= lrow[k] * ljrow[k]
+				s -= float64(lrow[k] * ljrow[k])
 			}
 			if i == j {
 				if s <= 0 || math.IsNaN(s) {
@@ -118,117 +134,22 @@ func maxDiag(a *Dense) float64 {
 // Size returns the order n of the factorized matrix.
 func (c *Cholesky) Size() int { return c.n }
 
-// L returns the lower-triangular factor, aliased (do not mutate).
-func (c *Cholesky) L() *Dense { return c.l }
-
-// SolveVec solves A·x = b and returns x.
-func (c *Cholesky) SolveVec(b Vec) Vec {
-	return c.SolveVecInto(make(Vec, c.n), b)
+// At returns L[i,j] (zero above the diagonal).
+func (c *Cholesky) At(i, j int) float64 {
+	if i < 0 || i >= c.n || j < 0 || j >= c.n {
+		panic(fmt.Sprintf("mat: Cholesky index (%d,%d) out of bounds %d", i, j, c.n))
+	}
+	if j > i {
+		return 0
+	}
+	return c.data[i*(i+1)/2+j]
 }
 
-// SolveVecInto is SolveVec writing x into dst (len n, may alias b); it
-// returns dst.
-func (c *Cholesky) SolveVecInto(dst, b Vec) Vec {
-	if len(b) != c.n || len(dst) != c.n {
-		panic(fmt.Sprintf("mat: Cholesky SolveVec lengths dst %d, b %d != %d", len(dst), len(b), c.n))
-	}
-	copy(dst, b)
-	forwardSubstInPlace(c.l, dst, 0)
-	backSubstTInPlace(c.l, dst)
-	return dst
-}
-
-// Solve solves A·X = B column-by-column and returns X.
-func (c *Cholesky) Solve(b *Dense) *Dense {
-	if b.rows != c.n {
-		panic(fmt.Sprintf("mat: Cholesky Solve rows %d != %d", b.rows, c.n))
-	}
-	x := New(b.rows, b.cols)
-	col := make(Vec, c.n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < c.n; i++ {
-			col[i] = b.data[i*b.cols+j]
-		}
-		sol := c.SolveVec(col)
-		for i := 0; i < c.n; i++ {
-			x.data[i*b.cols+j] = sol[i]
-		}
-	}
-	return x
-}
-
-// LogDet returns log det A = 2 Σ log L_ii.
-func (c *Cholesky) LogDet() float64 {
-	var s float64
+// Unpack materializes the factor as a square lower-triangular Dense.
+func (c *Cholesky) Unpack() *Dense {
+	l := New(c.n, c.n)
 	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l.data[i*c.n+i])
+		copy(l.data[i*c.n:i*c.n+i+1], c.row(i))
 	}
-	return 2 * s
-}
-
-// Inverse returns A⁻¹ as a dense matrix. Prefer SolveVec when only products
-// with A⁻¹ are needed; the explicit inverse is used by the LML gradient.
-func (c *Cholesky) Inverse() *Dense {
-	return c.InverseInto(New(c.n, c.n))
-}
-
-// InverseInto is Inverse writing into dst (n x n); it returns dst. Column
-// j of A⁻¹ is the solution of A·x = e_j, computed with the same
-// operations as SolveVec(e_j) in row j of dst and then transposed into
-// place, so no scratch is needed. The forward solve starts at row j:
-// above it e_j and the solution are exactly zero.
-func (c *Cholesky) InverseInto(dst *Dense) *Dense {
-	n := c.n
-	if dst.rows != n || dst.cols != n {
-		panic(fmt.Sprintf("mat: InverseInto %dx%d, want %dx%d", dst.rows, dst.cols, n, n))
-	}
-	for j := 0; j < n; j++ {
-		x := dst.data[j*n : (j+1)*n]
-		clear(x)
-		x[j] = 1
-		forwardSubstInPlace(c.l, x, j)
-		backSubstTInPlace(c.l, x)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			dst.data[i*n+j], dst.data[j*n+i] = dst.data[j*n+i], dst.data[i*n+j]
-		}
-	}
-	return dst
-}
-
-// QuadForm returns bᵀ A⁻¹ b.
-func (c *Cholesky) QuadForm(b Vec) float64 {
-	y := ForwardSubst(c.l, b) // A = L Lᵀ ⇒ bᵀA⁻¹b = |L⁻¹ b|²
-	return Dot(y, y)
-}
-
-// Extended returns the Cholesky factor of the bordered matrix
-//
-//	[ A  b ]
-//	[ bᵀ c ]
-//
-// in O(n²) instead of refactorizing in O(n³): the new row of L is
-// L⁻¹b and the new pivot is √(c − |L⁻¹b|²). This is the incremental
-// update that makes online GP conditioning cheap between hyperparameter
-// refits. Returns ErrNotPositiveDefinite when the bordered matrix is not
-// SPD.
-func (c *Cholesky) Extended(b Vec, diag float64) (*Cholesky, error) {
-	if len(b) != c.n {
-		panic(fmt.Sprintf("mat: Extended border length %d != %d", len(b), c.n))
-	}
-	choleskyExtendCount.Inc()
-	row := ForwardSubst(c.l, b)
-	pivot := diag - Dot(row, row)
-	if pivot <= 0 || math.IsNaN(pivot) {
-		return nil, fmt.Errorf("%w: bordered pivot = %g", ErrNotPositiveDefinite, pivot)
-	}
-	n := c.n + 1
-	l := New(n, n)
-	for i := 0; i < c.n; i++ {
-		copy(l.data[i*n:i*n+c.n], c.l.data[i*c.n:i*c.n+c.n])
-	}
-	copy(l.data[(n-1)*n:(n-1)*n+c.n], row)
-	l.data[n*n-1] = math.Sqrt(pivot)
-	return &Cholesky{l: l, n: n}, nil
+	return l
 }

@@ -38,8 +38,13 @@ func NewCholeskyParallel(a *Dense, nb int) (*Cholesky, error) {
 	choleskySize.Observe(float64(n))
 	startT := time.Now()
 	defer func() { choleskyDur.Observe(time.Since(startT).Seconds()) }()
-	w := a.Clone() // factorize in place on a working copy
-	d := w.data
+	// Copy a's lower triangle into packed storage and factorize it in
+	// place; the row segments [k, k+kb) a block step touches stay
+	// contiguous.
+	c := &Cholesky{n: n, data: make([]float64, packedLen(n))}
+	for i := 0; i < n; i++ {
+		copy(c.row(i), a.data[i*n:i*n+i+1])
+	}
 	workers := runtime.GOMAXPROCS(0)
 
 	for k := 0; k < n; k += nb {
@@ -49,18 +54,20 @@ func NewCholeskyParallel(a *Dense, nb int) (*Cholesky, error) {
 		}
 		// 1. Unblocked factorization of the diagonal block A[k:k+kb, k:k+kb].
 		for i := k; i < k+kb; i++ {
+			ri := c.row(i)
 			for j := k; j <= i; j++ {
-				s := d[i*n+j]
+				rj := c.row(j)
+				s := ri[j]
 				for t := k; t < j; t++ {
-					s -= d[i*n+t] * d[j*n+t]
+					s -= float64(ri[t] * rj[t])
 				}
 				if i == j {
 					if s <= 0 || math.IsNaN(s) {
 						return nil, fmt.Errorf("%w: pivot %d = %g", ErrNotPositiveDefinite, i, s)
 					}
-					d[i*n+i] = math.Sqrt(s)
+					ri[i] = math.Sqrt(s)
 				} else {
-					d[i*n+j] = s / d[j*n+j]
+					ri[j] = s / rj[j]
 				}
 			}
 		}
@@ -70,12 +77,14 @@ func NewCholeskyParallel(a *Dense, nb int) (*Cholesky, error) {
 		// 2. Panel solve: L21 = A21 L11⁻ᵀ, parallel over row chunks.
 		parRows(workers, k+kb, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
+				ri := c.row(i)
 				for j := k; j < k+kb; j++ {
-					s := d[i*n+j]
+					rj := c.row(j)
+					s := ri[j]
 					for t := k; t < j; t++ {
-						s -= d[i*n+t] * d[j*n+t]
+						s -= float64(ri[t] * rj[t])
 					}
-					d[i*n+j] = s / d[j*n+j]
+					ri[j] = s / rj[j]
 				}
 			}
 		})
@@ -83,25 +92,20 @@ func NewCholeskyParallel(a *Dense, nb int) (*Cholesky, error) {
 		// parallel over row chunks — the dominant cost.
 		parRows(workers, k+kb, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				li := d[i*n+k : i*n+k+kb]
+				ri := c.row(i)
+				li := ri[k : k+kb]
 				for j := k + kb; j <= i; j++ {
-					lj := d[j*n+k : j*n+k+kb]
+					lj := c.row(j)[k : k+kb]
 					var s float64
 					for t := 0; t < kb; t++ {
-						s += li[t] * lj[t]
+						s += float64(li[t] * lj[t])
 					}
-					d[i*n+j] -= s
+					ri[j] -= s
 				}
 			}
 		})
 	}
-	// Zero the strict upper triangle so L matches NewCholesky's layout.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d[i*n+j] = 0
-		}
-	}
-	return &Cholesky{l: w, n: n}, nil
+	return c, nil
 }
 
 // parRows splits rows [lo, hi) across workers. Trailing updates cost more

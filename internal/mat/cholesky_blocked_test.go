@@ -19,7 +19,7 @@ func TestCholeskyParallelMatchesUnblocked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, lr := blocked.L(), ref.L()
+		lb, lr := blocked.Unpack(), ref.Unpack()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if !almostEq(lb.At(i, j), lr.At(i, j), 1e-9) {
@@ -74,7 +74,7 @@ func TestCholeskyParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, ar := first.L().Raw(), again.L().Raw()
+		fr, ar := first.data, again.data
 		for i := range fr {
 			if fr[i] != ar[i] {
 				t.Fatalf("nondeterministic at element %d", i)

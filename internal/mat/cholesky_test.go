@@ -16,7 +16,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		l := ch.L()
+		l := ch.Unpack()
 		rec := MulT(l, l) // L·Lᵀ
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -54,19 +54,6 @@ func TestCholeskySolveVec(t *testing.T) {
 			t.Fatalf("x[%d]=%g want %g", i, x[i], xTrue[i])
 		}
 	}
-}
-
-func TestCholeskySolveMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := randomSPD(rng, 12)
-	bx := randomDense(rng, 12, 4)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ch.Solve(bx)
-	rec := Mul(a, x)
-	matricesEqual(t, rec, bx, 1e-8)
 }
 
 func TestCholeskyLogDet(t *testing.T) {
@@ -210,6 +197,182 @@ func TestCholeskyLogDet2x2Property(t *testing.T) {
 	}
 }
 
+// TestCholeskyAtMatchesUnpack checks At and Unpack read the same
+// packed factor: the lower triangle entry for entry, zero above it.
+func TestCholeskyAtMatchesUnpack(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 7, 33} {
+		c, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if c.Size() != n {
+			t.Fatalf("n=%d: size %d", n, c.Size())
+		}
+		l := c.Unpack()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if got, want := c.At(i, j), l.At(i, j); got != want {
+					t.Fatalf("n=%d: At(%d,%d) = %g, Unpack %g", n, i, j, got, want)
+				}
+				if j > i && l.At(i, j) != 0 {
+					t.Fatalf("n=%d: upper entry L[%d,%d] = %g nonzero", n, i, j, l.At(i, j))
+				}
+			}
+		}
+	}
+}
+
+// TestCholeskySolvesMatchReference pins every solve/determinant/inverse
+// method to the dense reference solves of into_test.go run on the
+// unpacked factor: bit-identical outputs.
+func TestCholeskySolvesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	n := 19
+	c, err := NewCholesky(randomSPD(rng, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := c.Unpack()
+
+	b := make(Vec, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	got, want := c.SolveVec(b), refSolve(l, b)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("SolveVec[%d]: %g, reference %g", i, got[i], want[i])
+		}
+	}
+	y := refForwardSubst(l, b)
+	if g, w := c.QuadForm(b), Dot(y, y); g != w {
+		t.Fatalf("QuadForm: %g, reference %g", g, w)
+	}
+	var logDet float64
+	for i := 0; i < n; i++ {
+		logDet += math.Log(l.At(i, i))
+	}
+	if g, w := c.LogDet(), 2*logDet; g != w {
+		t.Fatalf("LogDet: %g, reference %g", g, w)
+	}
+	matricesEqual(t, c.Inverse(), refInverse(l), 0)
+
+	// ForwardSubstMat: L·Y = B column by column.
+	bm := randomDense(rng, n, 3)
+	matricesEqual(t, Mul(l, c.ForwardSubstMat(bm)), bm, 1e-10)
+}
+
+// TestForwardSubst4IntoBitIdentical requires each lane of the four-lane
+// solve to equal ForwardSubstInto on that lane bit for bit, out of place
+// and in place, with 1–4 live lanes and the rest zero-padded, on a
+// well-conditioned and a badly conditioned factor.
+func TestForwardSubst4IntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{1, 2, 3, 17, 64} {
+		for _, a := range []*Dense{randomSPD(rng, n), gramSPD(rng, n, 1e-6)} {
+			p, err := NewCholesky(a)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			for live := 1; live <= 4; live++ {
+				b := make([]float64, 4*n)
+				want := make([]Vec, 4)
+				for r := 0; r < 4; r++ {
+					lane := make(Vec, n)
+					if r < live {
+						lane = randVec(rng, n)
+					}
+					for i, v := range lane {
+						b[4*i+r] = v
+					}
+					want[r] = make(Vec, n)
+					p.ForwardSubstInto(want[r], lane)
+				}
+				out := make([]float64, 4*n)
+				p.ForwardSubst4Into(out, b)
+				p.ForwardSubst4Into(b, b)
+				for name, got := range map[string][]float64{"out of place": out, "in place": b} {
+					for r := 0; r < 4; r++ {
+						for i, w := range want[r] {
+							if g := got[4*i+r]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("n=%d live=%d %s: lane %d row %d = %v, want %v", n, live, name, r, i, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCholeskyExtended checks the bordered update against a
+// from-scratch factorization of the (n+1)×(n+1) matrix.
+func TestCholeskyExtended(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	for _, n := range []int{8, 14} {
+		full := randomSPD(rng, n+1)
+		lead := New(n, n)
+		for i := 0; i < n; i++ {
+			copy(lead.RawRow(i), full.RawRow(i)[:n])
+		}
+		border := make(Vec, n)
+		for i := 0; i < n; i++ {
+			border[i] = full.At(i, n)
+		}
+		chLead, err := NewCholesky(lead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext, err := chLead.Extended(border, full.At(n, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := NewCholesky(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matricesEqual(t, ext.Unpack(), direct.Unpack(), 1e-10)
+		if ext.Size() != n+1 {
+			t.Fatalf("Size = %d", ext.Size())
+		}
+	}
+}
+
+// TestCholeskyExtendedRejectsIndefinite: a border that breaks positive
+// definiteness must be rejected with the shared sentinel, leaving the
+// receiver untouched.
+func TestCholeskyExtendedRejectsIndefinite(t *testing.T) {
+	ch, err := NewCholesky(Eye(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Border that makes the matrix indefinite: c < |L⁻¹b|².
+	if _, err := ch.Extended(Vec{3, 4}, 1); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("err = %v", err)
+	}
+
+	rng := rand.New(rand.NewSource(13))
+	n := 14
+	p, err := NewCholesky(randomSPD(rng, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := make(Vec, n)
+	for i := range huge {
+		huge[i] = 1e6
+	}
+	before := append([]float64(nil), p.data...)
+	if _, err := p.Extended(huge, 1); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("non-SPD border: err = %v, want ErrNotPositiveDefinite", err)
+	}
+	for i := range before {
+		if p.data[i] != before[i] {
+			t.Fatal("failed Extended mutated the receiver")
+		}
+	}
+}
+
 func BenchmarkCholesky200(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomSPD(rng, 200)
@@ -237,5 +400,25 @@ func BenchmarkCholeskySolve200(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.SolveVec(rhs)
+	}
+}
+
+func BenchmarkCholeskyExtended200(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := randomSPD(rng, 200)
+	ch, err := NewCholesky(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	border := make(Vec, 200)
+	for i := range border {
+		border[i] = 0.01 * rng.NormFloat64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ch.Extended(border, 300); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -171,3 +171,66 @@ func BenchmarkMul512Parallel(b *testing.B) {
 		Mul(x, y)
 	}
 }
+
+// TestSyrkTBlockedBitIdentical: the cache-blocked aᵀa must match the
+// unblocked kernel bit for bit (same k-ascending accumulation order) —
+// the property that lets the sparse fit swap it in without perturbing
+// fingerprinted traces.
+func TestSyrkTBlockedBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, shape := range [][2]int{{1, 1}, {5, 3}, {syrkPanel, 7}, {syrkPanel + 1, 7}, {3*syrkPanel + 11, 23}} {
+		a := randomDense(rng, shape[0], shape[1])
+		got, want := SyrkTBlocked(a), SyrkT(a)
+		if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+			t.Fatalf("%v: shape %dx%d", shape, got.Rows(), got.Cols())
+		}
+		for i := range got.data {
+			if got.data[i] != want.data[i] {
+				t.Fatalf("%v: element %d differs: %g vs %g", shape, i, got.data[i], want.data[i])
+			}
+		}
+	}
+}
+
+// TestPairSqDist checks the norm-expansion distance matrix against the
+// direct (a−b)² loop, on both the serial path and a size that crosses
+// the goroutine fan-out threshold.
+func TestPairSqDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, shape := range [][3]int{{3, 4, 2}, {7, 1, 3}, {160, 130, 40}} {
+		n, m, d := shape[0], shape[1], shape[2]
+		a, b := randomDense(rng, n, d), randomDense(rng, m, d)
+		got := PairSqDist(a, b)
+		for i := 0; i < n; i++ {
+			for j := 0; j < m; j++ {
+				var want float64
+				for k := 0; k < d; k++ {
+					diff := a.At(i, k) - b.At(j, k)
+					want += diff * diff
+				}
+				if !almostEq(got.At(i, j), want, 1e-9) {
+					t.Fatalf("%v: d²(%d,%d) = %g, want %g", shape, i, j, got.At(i, j), want)
+				}
+			}
+		}
+	}
+
+	// Identical rows: round-off in ‖a‖²+‖b‖²−2a·b can go negative; the
+	// clamp must keep the result at exactly zero.
+	a := randomDense(rng, 6, 5)
+	d2 := PairSqDist(a, a)
+	for i := 0; i < 6; i++ {
+		if d2.At(i, i) != 0 {
+			t.Fatalf("self-distance d²(%d,%d) = %g, want 0", i, i, d2.At(i, i))
+		}
+	}
+}
+
+func TestPairSqDistShapeMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched column counts did not panic")
+		}
+	}()
+	PairSqDist(New(2, 3), New(2, 4))
+}

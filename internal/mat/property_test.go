@@ -46,16 +46,16 @@ func TestCholeskyRecomposeProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if d := maxAbsDiff(recompose(ch.L()), a); d > 1e-10 {
+		if d := maxAbsDiff(recompose(ch.Unpack()), a); d > 1e-10 {
 			t.Errorf("n=%d: |L·Lᵀ − A|∞ = %g", n, d)
 		}
 		// The factor must be lower triangular with positive diagonal.
 		for i := 0; i < n; i++ {
-			if ch.L().At(i, i) <= 0 {
+			if ch.Unpack().At(i, i) <= 0 {
 				t.Errorf("n=%d: nonpositive diagonal at %d", n, i)
 			}
 			for j := i + 1; j < n; j++ {
-				if ch.L().At(i, j) != 0 {
+				if ch.Unpack().At(i, j) != 0 {
 					t.Errorf("n=%d: nonzero upper element (%d,%d)", n, i, j)
 				}
 			}
@@ -79,7 +79,7 @@ func TestCholeskyBlockedMatchesUnblocked(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d nb=%d: %v", n, nb, err)
 			}
-			if d := maxAbsDiff(got.L(), ref.L()); d > 1e-10 {
+			if d := maxAbsDiff(got.Unpack(), ref.Unpack()); d > 1e-10 {
 				t.Errorf("n=%d nb=%d: blocked vs unblocked |ΔL|∞ = %g", n, nb, d)
 			}
 		}
@@ -113,10 +113,10 @@ func TestRankOneUpdateProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d recompute: %v", n, err)
 		}
-		if d := maxAbsDiff(up.L(), ref.L()); d > 1e-10 {
+		if d := maxAbsDiff(up.Unpack(), ref.Unpack()); d > 1e-10 {
 			t.Errorf("n=%d: update vs recompute |ΔL|∞ = %g", n, d)
 		}
-		if d := maxAbsDiff(recompose(up.L()), want); d > 1e-10 {
+		if d := maxAbsDiff(recompose(up.Unpack()), want); d > 1e-10 {
 			t.Errorf("n=%d: |L'·L'ᵀ − (A+vvᵀ)|∞ = %g", n, d)
 		}
 	}
@@ -141,7 +141,7 @@ func TestRankOneDowndateProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: downdate of update failed: %v", n, err)
 		}
-		if d := maxAbsDiff(down.L(), ch.L()); d > 1e-9 {
+		if d := maxAbsDiff(down.Unpack(), ch.Unpack()); d > 1e-9 {
 			t.Errorf("n=%d: update∘downdate drift |ΔL|∞ = %g", n, d)
 		}
 	}
@@ -189,7 +189,7 @@ func TestExtendedMatchesRefactorization(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: refactorize: %v", n, err)
 		}
-		if d := maxAbsDiff(ext.L(), ref.L()); d > 1e-10 {
+		if d := maxAbsDiff(ext.Unpack(), ref.Unpack()); d > 1e-10 {
 			t.Errorf("n=%d: Extended vs refactorization |ΔL|∞ = %g", n, d)
 		}
 	}

@@ -153,29 +153,25 @@ func TestMulVecTProperty(t *testing.T) {
 
 func TestTriangularSolves(t *testing.T) {
 	l := NewFromRows([][]float64{{2, 0, 0}, {1, 3, 0}, {4, 5, 6}})
+	ch, err := NewCholesky(MulT(l, l)) // its factor is l
+	if err != nil {
+		t.Fatal(err)
+	}
+	matricesEqual(t, ch.Unpack(), l, 1e-12)
 	xTrue := Vec{1, -2, 0.5}
 	b := l.MulVec(xTrue)
-	y := ForwardSubst(l, b)
+	y := ch.ForwardSubst(b)
 	for i := range y {
 		if !almostEq(y[i], xTrue[i], 1e-12) {
 			t.Fatalf("ForwardSubst: %v want %v", y, xTrue)
 		}
 	}
-	// Lᵀ x = b via BackSubstT.
-	bt := l.T().MulVec(xTrue)
-	xt := BackSubstT(l, bt)
+	// Lᵀ x = b via BackSubstTInPlace.
+	xt := l.T().MulVec(xTrue)
+	ch.BackSubstTInPlace(xt)
 	for i := range xt {
 		if !almostEq(xt[i], xTrue[i], 1e-12) {
-			t.Fatalf("BackSubstT: %v want %v", xt, xTrue)
-		}
-	}
-	// Upper triangular via BackSubst.
-	u := l.T()
-	bu := u.MulVec(xTrue)
-	xu := BackSubst(u, bu)
-	for i := range xu {
-		if !almostEq(xu[i], xTrue[i], 1e-12) {
-			t.Fatalf("BackSubst: %v want %v", xu, xTrue)
+			t.Fatalf("BackSubstTInPlace: %v want %v", xt, xTrue)
 		}
 	}
 }
@@ -188,7 +184,7 @@ func TestForwardSubstMat(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := randomDense(rng, 8, 3)
-	y := ForwardSubstMat(ch.L(), b)
-	rec := Mul(ch.L(), y)
+	y := ch.ForwardSubstMat(b)
+	rec := Mul(ch.Unpack(), y)
 	matricesEqual(t, rec, b, 1e-9)
 }
