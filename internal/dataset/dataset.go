@@ -200,17 +200,6 @@ func (d *Dataset) WhereVar(name string, value float64) *Dataset {
 	return d.Filter(func(r int) bool { return col[r] == value })
 }
 
-// WhereVarBetween returns the subset whose variable column lies in
-// [lo, hi] inclusive.
-func (d *Dataset) WhereVarBetween(name string, lo, hi float64) *Dataset {
-	i := d.varIndex(name)
-	if i < 0 {
-		panic(fmt.Sprintf("dataset: no variable %q", name))
-	}
-	col := d.vars[i]
-	return d.Filter(func(r int) bool { return col[r] >= lo && col[r] <= hi })
-}
-
 // Project returns a dataset containing only the named variable columns
 // (responses, tags, and cost are preserved). Used to build the 1-D and
 // 2-D study subsets of §V-B.

@@ -98,23 +98,6 @@ func TestWhereTagAndVar(t *testing.T) {
 	}
 }
 
-func TestWhereVarBetween(t *testing.T) {
-	d := sample(t)
-	mid := d.WhereVarBetween("size", 150, 400)
-	if mid.Len() != 2 { // sizes 200 and 400
-		t.Fatalf("len = %d", mid.Len())
-	}
-	if got := d.WhereVarBetween("size", 1000, 2000).Len(); got != 0 {
-		t.Fatalf("empty range returned %d rows", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown variable")
-		}
-	}()
-	d.WhereVarBetween("nope", 0, 1)
-}
-
 func TestProject(t *testing.T) {
 	d := sample(t)
 	p := d.Project("np")

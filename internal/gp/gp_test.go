@@ -298,19 +298,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-func TestPredictNoisyAddsVariance(t *testing.T) {
-	g := fitBasic(t, col(0, 1, 2), []float64{1, 2, 3}, false)
-	p := g.Predict([]float64{1})
-	pn := g.PredictNoisy([]float64{1})
-	if pn.SD <= p.SD {
-		t.Fatalf("noisy SD %g should exceed latent SD %g", pn.SD, p.SD)
-	}
-	want := math.Sqrt(p.SD*p.SD + g.Noise()*g.Noise())
-	if math.Abs(pn.SD-want) > 1e-12 {
-		t.Fatalf("noisy SD = %g, want %g", pn.SD, want)
-	}
-}
-
 func TestCI(t *testing.T) {
 	p := Prediction{Mean: 10, SD: 2}
 	lo, hi := p.CI(2)

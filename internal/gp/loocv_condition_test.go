@@ -31,9 +31,12 @@ func bruteLOO(t *testing.T, cfg Config, x *mat.Dense, y []float64) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := g.PredictNoisy(x.RawRow(leave))
+		// A held-out measurement's variance: latent variance plus σn².
+		p := g.Predict(x.RawRow(leave))
+		sn := g.yStd * g.Noise()
+		v := p.SD*p.SD + sn*sn
 		d := y[leave] - p.Mean
-		ll += -0.5*math.Log(p.SD*p.SD) - d*d/(2*p.SD*p.SD) - 0.5*math.Log(2*math.Pi)
+		ll += -0.5*math.Log(v) - d*d/(2*v) - 0.5*math.Log(2*math.Pi)
 	}
 	return ll
 }

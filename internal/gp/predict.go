@@ -44,16 +44,6 @@ func (g *GP) Predict(x []float64) Prediction {
 	}
 }
 
-// PredictNoisy is Predict with the observation noise σn² added to the
-// predictive variance — the distribution of a future *measurement* rather
-// than of the latent function.
-func (g *GP) PredictNoisy(x []float64) Prediction {
-	p := g.Predict(x)
-	sn := g.yStd * math.Exp(g.logSN)
-	p.SD = math.Sqrt(p.SD*p.SD + sn*sn)
-	return p
-}
-
 // PredictBatch evaluates the predictive distribution at every row of xs.
 //
 // It streams the rows in blocks of four and never builds the m×n

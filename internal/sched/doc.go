@@ -14,8 +14,6 @@
 //     runtime.
 //   - Record / Drain: the accounting rows (submit/start/end, state
 //     COMPLETED or TIMEOUT) the dataset layer consumes.
-//   - Utilization / PeakCoresInUse / WaitStats: post-hoc queue
-//     analytics over a drained record set.
 //
 // # Observability
 //

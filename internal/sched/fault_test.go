@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/faults"
@@ -200,7 +201,7 @@ func TestFaultHooksEndToEnd(t *testing.T) {
 	if len(done) != jobs {
 		t.Fatalf("%d of %d jobs completed within their retry budget", len(done), jobs)
 	}
-	if peak := PeakCoresInUse(recs); peak > s.TotalCores() {
+	if peak := peakCoresInUse(recs); peak > s.TotalCores() {
 		t.Fatalf("oversubscribed: peak %d cores of %d", peak, s.TotalCores())
 	}
 
@@ -212,4 +213,46 @@ func TestFaultHooksEndToEnd(t *testing.T) {
 	if f := ns(Job{ID: 1}, 0); f != 1 {
 		t.Fatalf("nil injector slowdown %g", f)
 	}
+}
+
+// End to end: a drained sweep must never oversubscribe the partition.
+func TestSweepNeverOversubscribes(t *testing.T) {
+	s, _ := New(Config{NodeCount: 4, CoresPerNode: 16, Policy: Backfill})
+	for i := 0; i < 40; i++ {
+		np := []int{4, 8, 16, 32}[i%4]
+		s.Submit(Job{NP: np, Run: fixed(float64(5 + i%7)), EstimateS: 12})
+	}
+	recs := s.Drain()
+	if got := peakCoresInUse(recs); got > s.TotalCores() {
+		t.Fatalf("oversubscribed: peak %d > %d", got, s.TotalCores())
+	}
+}
+
+// peakCoresInUse returns the maximum simultaneous core usage across the
+// records — a sanity check that the scheduler never oversubscribed the
+// partition.
+func peakCoresInUse(records []Record) int {
+	type event struct {
+		t     float64
+		delta int
+	}
+	events := make([]event, 0, 2*len(records))
+	for _, r := range records {
+		events = append(events, event{r.StartS, r.NP}, event{r.EndS, -r.NP})
+	}
+	sort.Slice(events, func(i, j int) bool {
+		if events[i].t != events[j].t {
+			return events[i].t < events[j].t
+		}
+		// Process releases before acquisitions at the same instant.
+		return events[i].delta < events[j].delta
+	})
+	cur, peak := 0, 0
+	for _, e := range events {
+		cur += e.delta
+		if cur > peak {
+			peak = cur
+		}
+	}
+	return peak
 }

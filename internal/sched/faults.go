@@ -11,9 +11,8 @@ import "repro/internal/faults"
 // Decisions are keyed by (job ID, attempt), so a requeued attempt is an
 // independent draw and an identically seeded injector reproduces the
 // same failure pattern across runs. Node faults are checked before
-// plain job failures, mirroring the priority in
-// cluster.ExecTimeFaulty. A nil injector yields hooks that never fail
-// or slow anything.
+// plain job failures. A nil injector yields hooks that never fail or
+// slow anything.
 func FaultHooks(inj *faults.Injector) (failure func(Job, int) (string, float64), slowdown func(Job, int) float64) {
 	failure = func(j Job, attempt int) (string, float64) {
 		if inj.NodeFails(j.ID, attempt) {

@@ -23,22 +23,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeometricMean returns (Π xs)^(1/n) for positive xs, computed in log
-// space; NaN for empty input or any non-positive element.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Variance returns the unbiased sample variance, or 0 for fewer than two
 // observations.
 func Variance(xs []float64) float64 {

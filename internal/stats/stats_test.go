@@ -26,18 +26,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	if got := GeometricMean([]float64{1, 100}); !almostEq(got, 10, 1e-12) {
-		t.Fatalf("GeometricMean = %g, want 10", got)
-	}
-	if !math.IsNaN(GeometricMean([]float64{1, -1})) {
-		t.Fatal("negative input should give NaN")
-	}
-	if !math.IsNaN(GeometricMean(nil)) {
-		t.Fatal("empty input should give NaN")
-	}
-}
-
 func TestVarianceStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	// Sample variance of this classic set is 32/7.
