@@ -291,11 +291,9 @@ func TestClusterAutoFencePartitionRejoin(t *testing.T) {
 	if got := cl.Router().Owner(isolated); got != cut {
 		t.Fatalf("campaign %s was not rebalanced home after rejoin: owner %s, want %s", isolated, got, cut)
 	}
-	var st serve.CampaignStatus
-	if code, err := httpJSON(client, http.MethodGet, cl.URL()+"/campaigns/"+isolated, "", nil, &st); err != nil || code != http.StatusOK {
-		t.Fatalf("status of rebalanced campaign: HTTP %d, err %v", code, err)
-	}
-	expectSameTrace(t, st, refs[isolated])
+	// The home node replays the campaign's journal after the rebalance;
+	// wait for it to settle before comparing against the reference.
+	expectSameTrace(t, waitTerminalHTTP(t, client, cl.URL(), isolated), refs[isolated])
 }
 
 // TestClusterReplicationK3 runs a campaign at replication 3 (owner plus
