@@ -53,12 +53,15 @@ var guardedMetrics = []string{"gp_fits/op", "cholesky/op", "cand_evals/op", "lml
 // defaultMaxBOp holds the B/op ceilings -update records:
 //   - BenchmarkALLoop/incremental: 60% of the 2,152,336 B/op recorded
 //     before the dense factor was stored packed;
+//   - BenchmarkALLoop/refit: 70% of the 5,304,288 B/op recorded while
+//     every fit factorized into a square factor and copied it packed;
 //   - BenchmarkGPHyperopt: 15% of the 3,306,258 B/op recorded before the
 //     LML evaluations of a fit shared one workspace;
 //   - BenchmarkGPPredictBatch: 15% of the 893,245 B/op recorded while
 //     PredictBatch built the full m×n cross-covariance.
 var defaultMaxBOp = map[string]float64{
 	"BenchmarkALLoop/incremental": 1291402,
+	"BenchmarkALLoop/refit":       3713002,
 	"BenchmarkGPHyperopt":         495938,
 	"BenchmarkGPPredictBatch":     133987,
 }
