@@ -223,7 +223,9 @@ func TestNewCholeskyIntoCountsAndReuses(t *testing.T) {
 }
 
 // factorEntries returns the lower triangle of ch's factor row by row:
-// row i contributes L[i,0..i].
+// row i contributes L[i,0..i]. It and forwardSubst4 are the only factor
+// accessors TestFactorGoldenBits uses, so the golden test reads the same
+// whatever the factor's storage layout.
 func factorEntries(ch *Cholesky) []float64 {
 	return append([]float64(nil), ch.data...)
 }
