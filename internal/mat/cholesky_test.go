@@ -310,38 +310,36 @@ func TestForwardSubst4IntoBitIdentical(t *testing.T) {
 // from-scratch factorization of the (n+1)×(n+1) matrix.
 func TestCholeskyExtended(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
-	for _, n := range []int{8, 14} {
-		full := randomSPD(rng, n+1)
-		lead := New(n, n)
-		for i := 0; i < n; i++ {
-			copy(lead.RawRow(i), full.RawRow(i)[:n])
-		}
-		border := make(Vec, n)
-		for i := 0; i < n; i++ {
-			border[i] = full.At(i, n)
-		}
-		chLead, err := NewCholesky(lead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ext, err := chLead.Extended(border, full.At(n, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := NewCholesky(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		matricesEqual(t, ext.Unpack(), direct.Unpack(), 1e-10)
-		if ext.Size() != n+1 {
-			t.Fatalf("Size = %d", ext.Size())
-		}
+	n := 8
+	full := randomSPD(rng, n+1)
+	lead := New(n, n)
+	for i := 0; i < n; i++ {
+		copy(lead.RawRow(i), full.RawRow(i)[:n])
+	}
+	border := make(Vec, n)
+	for i := 0; i < n; i++ {
+		border[i] = full.At(i, n)
+	}
+	chLead, err := NewCholesky(lead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := chLead.Extended(border, full.At(n, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := NewCholesky(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matricesEqual(t, ext.Unpack(), direct.Unpack(), 1e-10)
+	if ext.Size() != n+1 {
+		t.Fatalf("Size = %d", ext.Size())
 	}
 }
 
 // TestCholeskyExtendedRejectsIndefinite: a border that breaks positive
-// definiteness must be rejected with the shared sentinel, leaving the
-// receiver untouched.
+// definiteness must be rejected with the shared sentinel.
 func TestCholeskyExtendedRejectsIndefinite(t *testing.T) {
 	ch, err := NewCholesky(Eye(2))
 	if err != nil {
@@ -351,23 +349,45 @@ func TestCholeskyExtendedRejectsIndefinite(t *testing.T) {
 	if _, err := ch.Extended(Vec{3, 4}, 1); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("err = %v", err)
 	}
+}
 
+// TestTriPackedExtended checks the bordered update of a 14×14 packed
+// factor against a from-scratch factorization of the 15×15 matrix, and
+// that a non-SPD border is rejected without touching the receiver.
+func TestTriPackedExtended(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 14
-	p, err := NewCholesky(randomSPD(rng, n))
+	big := randomSPD(rng, n+1)
+	a := New(n, n)
+	b := make(Vec, n)
+	for i := 0; i < n; i++ {
+		b[i] = big.At(i, n)
+		copy(a.RawRow(i), big.RawRow(i)[:n])
+	}
+	c, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ext, err := c.Extended(b, big.At(n, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cBig, err := NewCholesky(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matricesEqual(t, ext.Unpack(), cBig.Unpack(), 1e-10)
+
 	huge := make(Vec, n)
 	for i := range huge {
 		huge[i] = 1e6
 	}
-	before := append([]float64(nil), p.data...)
-	if _, err := p.Extended(huge, 1); !errors.Is(err, ErrNotPositiveDefinite) {
+	before := append([]float64(nil), c.data...)
+	if _, err := c.Extended(huge, 1); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("non-SPD border: err = %v, want ErrNotPositiveDefinite", err)
 	}
 	for i := range before {
-		if p.data[i] != before[i] {
+		if c.data[i] != before[i] {
 			t.Fatal("failed Extended mutated the receiver")
 		}
 	}
