@@ -1,10 +1,14 @@
 package repro
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/gp"
@@ -13,6 +17,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/multigrid"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // obsCounters samples the observability counters that describe the
@@ -254,13 +259,14 @@ func BenchmarkALLoop(b *testing.B) {
 
 	// Large-n model tiers: past ~10⁴ points the dense O(n³) refit stops
 	// being viable, and the sparse tier's O(m²) incremental step is the
-	// only way to keep a campaign interactive. dense_n8192 performs the
+	// only way to keep a campaign interactive. dense_n2048 performs the
 	// from-scratch refit a dense campaign would pay per step at that
 	// size; sparse_n* performs the UpdateWithPoint step a sparse
-	// campaign pays. Their ns/op ratio is the min_sparse_speedup gate in
-	// BENCH_baseline.json (enforced by scripts/benchdiff). Run these
-	// with -benchtime=1x: one dense 8192-point factorization is already
-	// minutes of work.
+	// campaign pays. The ns/op ratio of the matched pair dense_n2048 /
+	// sparse_n2048 is the min_sparse_speedup gate in BENCH_baseline.json
+	// (enforced by scripts/benchdiff); the dense gap only widens with n,
+	// and sparse_n8192 keeps its B/op and work counts gated. Run these
+	// with -benchtime=1x.
 	largeData := func(n int) (*mat.Dense, []float64, []float64, float64) {
 		rng := rand.New(rand.NewSource(3))
 		x := mat.New(n, 2)
@@ -294,8 +300,8 @@ func BenchmarkALLoop(b *testing.B) {
 			reportObs(b, before, sampleObs())
 		})
 	}
-	b.Run("dense_n8192", func(b *testing.B) {
-		x, ys, _, _ := largeData(8192)
+	b.Run("dense_n2048", func(b *testing.B) {
+		x, ys, _, _ := largeData(2048)
 		b.ReportAllocs()
 		b.ResetTimer()
 		before := sampleObs()
@@ -435,4 +441,118 @@ func ExampleGeneratePerformanceDataset() {
 	}
 	fmt.Println(ds.Len())
 	// Output: 3246
+}
+
+// BenchmarkCampaignResume times a campaign service restart: resuming a
+// finished campaign from its journal until it is done again, on the full
+// Performance grid in paper coordinates. "replay" resumes the journal
+// with its snapshot lines stripped, so every journaled observation is
+// folded back through the session (each hyperparameter fit and grid
+// scoring repeated); "snapshot" resumes the journal as written, which
+// restores the terminal snapshot with one fit at its hyperparameters.
+// Campaigns run 30 or 100 steps, refitting hyperparameters every step
+// ("refit") or every 61st ("incremental"). Informational: no baseline
+// gates it.
+//
+//	go test -run '^$' -bench BenchmarkCampaignResume -benchtime 1x .
+func BenchmarkCampaignResume(b *testing.B) {
+	ds, err := GeneratePerformanceDataset(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]int, ds.Len())
+	for i := range rows {
+		rows[i] = i
+	}
+	x, y := perfPaperCoords(ds, rows)
+	cands := make([][]float64, x.Rows())
+	answer := make(map[[3]float64]float64, len(cands))
+	for i := range cands {
+		cands[i] = x.RawRow(i)
+		answer[[3]float64(cands[i])] = y[i]
+	}
+	for _, steps := range []int{30, 100} {
+		for _, reopt := range []struct {
+			name  string
+			every int
+		}{{"refit", 1}, {"incremental", 61}} {
+			spec := serve.CampaignSpec{
+				Source: "client", Candidates: cands, Seeds: []int{0, len(cands) - 1},
+				Strategy: "variance-reduction", Iterations: steps, ReoptimizeEvery: reopt.every, Seed: 1,
+			}
+			id, journal := finishedJournal(b, spec, answer)
+			var replay []byte
+			for _, line := range bytes.SplitAfter(journal, []byte("\n")) {
+				if !bytes.HasPrefix(line, []byte(`{"s":`)) {
+					replay = append(replay, line...)
+				}
+			}
+			for _, mode := range []struct {
+				name    string
+				journal []byte
+			}{{"replay", replay}, {"snapshot", journal}} {
+				b.Run(fmt.Sprintf("steps%d_%s/%s", steps, reopt.name, mode.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						resumeToEnd(b, id, mode.journal)
+					}
+				})
+			}
+		}
+	}
+}
+
+// finishedJournal drives spec to its end on an in-memory store, answering
+// each suggestion from answer, and returns the campaign id and journal.
+func finishedJournal(b *testing.B, spec serve.CampaignSpec, answer map[[3]float64]float64) (string, []byte) {
+	b.Helper()
+	store := serve.NewMemStore()
+	mgr := serve.NewManager(serve.Config{Store: store})
+	defer mgr.Shutdown(context.Background())
+	c, err := mgr.Create(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for n := 0; n < len(spec.Seeds)+spec.Iterations; {
+		sug, err := c.Suggest()
+		if errors.Is(err, serve.ErrNoPending) {
+			time.Sleep(100 * time.Microsecond)
+			continue
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Observe(sug.Seq, answer[[3]float64(sug.X)], 1); err != nil {
+			b.Fatal(err)
+		}
+		n++
+	}
+	c.Wait()
+	journal, err := store.Export(c.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c.ID, journal
+}
+
+// resumeToEnd resumes the campaign journal on a fresh manager and waits
+// until the restored campaign is done again.
+func resumeToEnd(b *testing.B, id string, journal []byte) {
+	b.Helper()
+	store := serve.NewMemStore()
+	if err := store.Import(id, journal); err != nil {
+		b.Fatal(err)
+	}
+	mgr := serve.NewManager(serve.Config{Store: store})
+	defer mgr.Shutdown(context.Background())
+	if err := mgr.ResumeOne(id); err != nil {
+		b.Fatal(err)
+	}
+	c, err := mgr.Get(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Wait()
+	if st, err := c.Status(false); err != nil || st.State != serve.StateDone {
+		b.Fatalf("resumed campaign ended %s (err %v)", st.State, err)
+	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/gp"
+	"repro/internal/mat"
 	"repro/internal/obs"
 )
 
@@ -48,8 +49,17 @@ type Checkpoint struct {
 	TrainY []float64 `json:"train_y"`
 	Pool   []int     `json:"pool"`
 
-	CumCost  float64   `json:"cum_cost"`
+	CumCost  JSONFloat `json:"cum_cost"`
 	AMSDHist []float64 `json:"amsd_hist"`
+
+	// NSeeds counts the leading training rows measured as seeds, which
+	// Result.TrainRows leaves out (0 for Run, whose Initial rows count).
+	NSeeds int `json:"n_seeds,omitempty"`
+
+	// Done and Converged record a session that has stopped by itself
+	// (convergence or budget) or, in a snapshot, one that has ended.
+	Done      bool `json:"done,omitempty"`
+	Converged bool `json:"converged,omitempty"`
 
 	// The model is stored as a recipe, not a matrix dump: hypers of the
 	// last (possibly degraded) refit, the train-prefix length it was
@@ -189,7 +199,8 @@ func (ck *Checkpoint) Save(path string) error {
 	return nil
 }
 
-// LoadCheckpoint reads and validates a checkpoint written by Save.
+// LoadCheckpoint reads a checkpoint written by Save and checks its
+// format version; Resume validates the rest against the dataset.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -202,13 +213,67 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if ck.Version != CheckpointVersion {
 		return nil, fmt.Errorf("al: checkpoint %s has version %d, want %d", path, ck.Version, CheckpointVersion)
 	}
-	if len(ck.Train) != len(ck.TrainY) {
-		return nil, fmt.Errorf("al: checkpoint %s: %d train rows but %d responses", path, len(ck.Train), len(ck.TrainY))
-	}
-	if ck.RefitN < 0 || ck.RefitN > len(ck.Train) {
-		return nil, fmt.Errorf("al: checkpoint %s: refit prefix %d outside train size %d", path, ck.RefitN, len(ck.Train))
-	}
 	return &ck, nil
+}
+
+// validate checks that ck describes a session over a grid of rows
+// candidates with a kernel of hypers hyperparameters, so restoring it
+// cannot index outside the grid or hand the kernel a wrong-sized
+// hyperparameter vector. Checkpoints come from files and, as journal
+// snapshots, from other nodes: a bad one is an error, never a panic.
+func (ck *Checkpoint) validate(rows, hypers int) error {
+	if ck.Version != CheckpointVersion {
+		return fmt.Errorf("al: checkpoint has version %d, want %d", ck.Version, CheckpointVersion)
+	}
+	if ck.NextIter < 1 {
+		return fmt.Errorf("al: checkpoint next iteration %d, want >= 1", ck.NextIter)
+	}
+	if len(ck.Train) != len(ck.TrainY) {
+		return fmt.Errorf("al: checkpoint has %d train rows but %d responses", len(ck.Train), len(ck.TrainY))
+	}
+	modelN := len(ck.Train)
+	if ck.HasPending {
+		modelN--
+	}
+	if ck.RefitN < 1 || ck.RefitN > modelN {
+		return fmt.Errorf("al: checkpoint refit prefix %d outside the %d modelled train rows", ck.RefitN, modelN)
+	}
+	if ck.NSeeds < 0 || ck.NSeeds > len(ck.Train) {
+		return fmt.Errorf("al: checkpoint seed count %d outside train size %d", ck.NSeeds, len(ck.Train))
+	}
+	if len(ck.RefitHyper) != hypers {
+		return fmt.Errorf("al: checkpoint carries %d hyperparameters, the kernel has %d", len(ck.RefitHyper), hypers)
+	}
+	for _, r := range ck.Train {
+		if r < 0 || r >= rows {
+			return fmt.Errorf("al: checkpoint train row %d outside the %d-row grid", r, rows)
+		}
+	}
+	for _, r := range ck.Pool {
+		if r < 0 || r >= rows {
+			return fmt.Errorf("al: checkpoint pool row %d outside the %d-row grid", r, rows)
+		}
+	}
+	for r := range ck.Attempts {
+		if r < 0 || r >= rows {
+			return fmt.Errorf("al: checkpoint attempt count for row %d outside the %d-row grid", r, rows)
+		}
+	}
+	return nil
+}
+
+// compatible reports whether ck was written by a loop configured like c.
+func (ck *Checkpoint) compatible(c LoopConfig) error {
+	if ck.Response != c.Response {
+		return fmt.Errorf("al: checkpoint models response %q, config asks for %q", ck.Response, c.Response)
+	}
+	if ck.Strategy != c.Strategy.Name() {
+		return fmt.Errorf("al: checkpoint used strategy %q, config uses %q", ck.Strategy, c.Strategy.Name())
+	}
+	if normalizeModel(ck.Model) != normalizeModel(c.Model) {
+		return fmt.Errorf("al: checkpoint used model tier %q, config uses %q", normalizeModel(ck.Model), normalizeModel(c.Model))
+	}
+	return nil
 }
 
 // Resume loads the checkpoint at path and continues the loop it
@@ -227,14 +292,8 @@ func Resume(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, path st
 	if err != nil {
 		return Result{}, err
 	}
-	if ck.Response != c.Response {
-		return Result{}, fmt.Errorf("al: checkpoint models response %q, config asks for %q", ck.Response, c.Response)
-	}
-	if ck.Strategy != c.Strategy.Name() {
-		return Result{}, fmt.Errorf("al: checkpoint used strategy %q, config uses %q", ck.Strategy, c.Strategy.Name())
-	}
-	if normalizeModel(ck.Model) != normalizeModel(c.Model) {
-		return Result{}, fmt.Errorf("al: checkpoint used model tier %q, config uses %q", normalizeModel(ck.Model), normalizeModel(c.Model))
+	if err := ck.compatible(c); err != nil {
+		return Result{}, err
 	}
 	if err := part.Validate(ds); err != nil {
 		return Result{}, err
@@ -248,10 +307,66 @@ func Resume(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, path st
 	if err := s.restore(ck); err != nil {
 		return Result{}, err
 	}
+	s.pool = append([]int{}, ck.Pool...) // non-nil even when empty: Run's pool
 	obs.Emit("al.resume", map[string]any{
 		"next_iter": ck.NextIter, "train": len(ck.Train), "draws": ck.Draws,
 	})
 	return s.drive(measureFunc(ds, c))
+}
+
+// RestoreSession rebuilds a session over a candidate grid from a
+// checkpoint its Snapshot took. cfg must be the configuration the
+// snapshotted session ran (NewSession's, with the same Seed), and the
+// candidate grid the same: the restored session then asks for, and
+// records, exactly what the snapshotted one would have. The model is
+// rebuilt with one fit at the recorded hyperparameters plus the
+// incremental updates since, not by rerunning the loop. Like a
+// NewSession session it owns its counting RNG and scores the whole grid.
+func RestoreSession(candidates *mat.Dense, cfg LoopConfig, ck *Checkpoint) (*Session, error) {
+	c, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if candidates == nil || candidates.Rows() == 0 {
+		return nil, errors.New("al: online AL requires a candidate grid")
+	}
+	if err := ck.compatible(c); err != nil {
+		return nil, err
+	}
+	if ck.Seed != c.Seed {
+		return nil, fmt.Errorf("al: checkpoint RNG seed %d, config seed %d", ck.Seed, c.Seed)
+	}
+	rng, cs := newCountingRand(ck.Seed, ck.Draws)
+	s := newSession(c, candidates, candidates.Rows(), rng)
+	s.cs = cs
+	if err := s.restore(ck); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Snapshot returns the session's state as a checkpoint RestoreSession
+// rebuilds it from. It succeeds only at an iteration boundary of a
+// session that owns its RNG (NewSession with a nil rng) and has fitted
+// its first model: no point outstanding, every seed settled, no error.
+// The checkpoint shares no memory with the session.
+func (s *Session) Snapshot() (*Checkpoint, bool) {
+	if s.cs == nil || s.x != nil || len(s.seeds) > 0 || s.model == nil || s.err != nil {
+		return nil, false
+	}
+	ck := s.checkpoint()
+	ck.Train = append([]int(nil), ck.Train...)
+	ck.TrainY = append([]float64(nil), ck.TrainY...)
+	ck.Pool = append([]int(nil), ck.Pool...)
+	ck.AMSDHist = append([]float64(nil), ck.AMSDHist...)
+	ck.RefitHyper = append([]float64(nil), ck.RefitHyper...)
+	ck.PendingX = append([]float64(nil), ck.PendingX...)
+	attempts := make(map[int]int, len(s.attempts))
+	for r, n := range s.attempts {
+		attempts[r] = n
+	}
+	ck.Attempts = attempts
+	return ck, true
 }
 
 // checkpoint captures the session at an iteration boundary.
@@ -261,7 +376,8 @@ func (s *Session) checkpoint() *Checkpoint {
 		Model: s.c.Model,
 		Seed:  s.c.Seed, Draws: s.cs.draws, NextIter: s.iter + 1,
 		Train: s.train, TrainY: s.trainY, Pool: s.pool,
-		CumCost: s.cumCost, AMSDHist: s.amsdHist,
+		CumCost: JSONFloat(s.cumCost), AMSDHist: s.amsdHist,
+		NSeeds: s.nSeeds, Done: s.done, Converged: s.res.Converged,
 		RefitHyper: s.refitHyper, RefitLogSN: s.refitLogSN, RefitN: s.refitN,
 		HasPending: s.hasPending, Attempts: s.attempts,
 	}
@@ -275,17 +391,22 @@ func (s *Session) checkpoint() *Checkpoint {
 	return ck
 }
 
-// restore loads a checkpoint into a fresh dataset session and rebuilds
-// the model exactly: an exact-hyperparameter fit over the refit prefix
-// through the configured tier, then the same incremental update chain
-// the live loop ran. The pending observation (when present) is
-// deliberately NOT conditioned in here — the first resumed iteration
-// consumes it, as the live loop would have.
+// restore validates a checkpoint and loads it into a fresh session
+// (the caller installs a dataset session's pool), rebuilding the model
+// exactly: an exact-hyperparameter fit over the refit prefix through the
+// configured tier, then the same incremental update chain the live loop
+// ran. The pending observation (when present) is deliberately NOT
+// conditioned in here — the first resumed iteration consumes it, as the
+// live loop would have.
 func (s *Session) restore(ck *Checkpoint) error {
+	gcfg := gp.Config{Kernel: s.c.NewKernel(s.candidates.Cols()), Normalize: s.c.Normalize}
+	if err := ck.validate(s.candidates.Rows(), len(gcfg.Kernel.Hyper())); err != nil {
+		return err
+	}
 	s.train = append([]int(nil), ck.Train...)
 	s.trainY = append([]float64(nil), ck.TrainY...)
-	s.pool = append([]int{}, ck.Pool...) // non-nil even when empty: Run's pool
-	s.cumCost = ck.CumCost
+	s.nSeeds = ck.NSeeds
+	s.cumCost = float64(ck.CumCost)
 	s.amsdHist = append([]float64(nil), ck.AMSDHist...)
 	if ck.Attempts != nil {
 		s.attempts = ck.Attempts
@@ -294,6 +415,7 @@ func (s *Session) restore(ck *Checkpoint) error {
 	s.refitHyper = append([]float64(nil), ck.RefitHyper...)
 	s.refitLogSN, s.refitN = ck.RefitLogSN, ck.RefitN
 	s.iter = ck.NextIter - 1
+	s.done, s.res.Converged = ck.Done, ck.Converged
 	for _, r := range ck.Records {
 		s.res.Records = append(s.res.Records, FromJSONRecord(r))
 	}
@@ -302,10 +424,6 @@ func (s *Session) restore(ck *Checkpoint) error {
 	if s.hasPending {
 		modelN--
 	}
-	if modelN < s.refitN {
-		return fmt.Errorf("al: checkpoint model covers %d points but refit prefix is %d", modelN, s.refitN)
-	}
-	gcfg := gp.Config{Kernel: s.c.NewKernel(s.candidates.Cols()), Normalize: s.c.Normalize}
 	model, err := s.fitter.atHypers(gcfg, gatherRows(s.candidates, s.train[:s.refitN]), s.trainY[:s.refitN], s.refitHyper, s.refitLogSN)
 	if err != nil {
 		return fmt.Errorf("al: resume refit: %w", err)

@@ -59,6 +59,8 @@
 //   - LoopConfig / Run: one AL realization over a dataset Partition
 //     (Initial rows enter measured, Active is the pool, Test fills
 //     RMSE and Coverage); Resume continues one from its Checkpoint.
+//     Session.Snapshot and RestoreSession export and rebuild a
+//     NewSession session the same way (served campaign snapshots).
 //     IterationRecord carries the §V-B3 monitoring quantities per step.
 //   - RunOnline: the loop against live experiments (§VI) through an
 //     Oracle; internal/serve campaigns drive a Session directly.

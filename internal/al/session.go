@@ -66,7 +66,7 @@ type Session struct {
 	pool   []int
 	seeds  []int // seed rows not yet settled
 	rng    *rand.Rand
-	cs     *countingSource // position of a loop-owned RNG, for checkpoints
+	cs     *countingSource // position of a session-owned RNG, for checkpoints
 	fitter modelFitter
 
 	// testX/testY is the held-out set behind each record's RMSE and
@@ -108,7 +108,9 @@ type Session struct {
 // NewSession validates the configuration and prepares a session over a
 // finite candidate grid. seeds indexes the rows of candidates measured
 // before learning starts (≥ 1 required). Candidates stay available for
-// repeated measurement. A nil rng uses rand.NewSource(1).
+// repeated measurement. With a nil rng the session owns a counting RNG
+// seeded from cfg.Seed (default 1), stream-identical to
+// rand.New(rand.NewSource(cfg.Seed)), which Snapshot records.
 func NewSession(candidates *mat.Dense, seeds []int, cfg LoopConfig, rng *rand.Rand) (*Session, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -125,10 +127,12 @@ func NewSession(candidates *mat.Dense, seeds []int, cfg LoopConfig, rng *rand.Ra
 			return nil, fmt.Errorf("al: seed index %d out of range %d", s, candidates.Rows())
 		}
 	}
+	var cs *countingSource
 	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
+		rng, cs = newCountingRand(c.Seed, 0)
 	}
 	s := newSession(c, candidates, candidates.Rows(), rng)
+	s.cs = cs
 	s.seeds = seeds
 	return s, nil
 }
@@ -229,8 +233,9 @@ func (s *Session) Result() Result {
 
 // drive runs the session to completion, measuring every point it asks
 // for with measure (attempt is the row's 0-based attempt count) and,
-// for a loop-owned RNG with LoopConfig.CheckpointPath set, saving a
-// checkpoint every CheckpointEvery-th iteration.
+// for a dataset session (Run's, which has a pool) with a loop-owned RNG
+// and LoopConfig.CheckpointPath set, saving a checkpoint every
+// CheckpointEvery-th iteration.
 func (s *Session) drive(measure func(row int, x []float64, attempt int) (y, cost float64, err error)) (Result, error) {
 	for {
 		x, err := s.Next()
@@ -241,7 +246,7 @@ func (s *Session) drive(measure func(row int, x []float64, attempt int) (y, cost
 			return s.Result(), nil
 		}
 		s.Tell(measure(s.row, x, s.attempts[s.row]))
-		if s.x == nil && s.cs != nil && s.c.CheckpointPath != "" && s.iter%s.c.CheckpointEvery == 0 {
+		if s.x == nil && s.pool != nil && s.cs != nil && s.c.CheckpointPath != "" && s.iter%s.c.CheckpointEvery == 0 {
 			if err := s.checkpoint().Save(s.c.CheckpointPath); err != nil {
 				return Result{}, err
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/al"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -220,5 +221,44 @@ func TestLoadShipIndexSurvivesExportFailure(t *testing.T) {
 	}
 	if len(info.Observations) != 3 {
 		t.Fatalf("loaded journal has %d observations, want 3", len(info.Observations))
+	}
+}
+
+// A campaign's snapshot lines ship to its followers like every other
+// record, and the heir that adopts it after a failover restores the
+// snapshot instead of replaying the whole journal, then finishes on the
+// uninterrupted trace.
+func TestFailoverRestoresShippedSnapshot(t *testing.T) {
+	cl := startTestCluster(t, ClusterConfig{
+		Replicas:    3,
+		Replication: 3,
+		Router:      testRouterCfg(),
+	})
+	client := &http.Client{}
+	spec := clientSpec(97)
+	spec.Iterations = 38 // 40 observations: a snapshot after the 32nd
+	ref := refStatus(t, spec)
+
+	id := createCampaign(t, client, cl.URL(), spec)
+	driveHTTP(t, client, cl.URL(), id, 36)
+	m := cl.Router().Membership()
+	walk := m.ring(0).OwnerN(id, 3)
+	owner, heir := walk[0], walk[1]
+	image := waitReplicasConverged(t, cl, client, id, owner, walk[1:])
+	if !bytes.Contains(image, []byte(`{"s":{"n":32,`)) {
+		t.Fatalf("campaign %s: replicated journal holds no snapshot after observation 32", id)
+	}
+
+	restored := obs.C("serve.resume.snapshot").Value()
+	if err := cl.KillAndFailover(owner); err != nil {
+		t.Fatalf("kill+failover (%s): %v", owner, err)
+	}
+	if got := cl.Router().Owner(id); got != heir {
+		t.Fatalf("after failover the campaign is on %s, want the heir %s", got, heir)
+	}
+	driveHTTP(t, client, cl.URL(), id, 0)
+	expectSameTrace(t, waitTerminalHTTP(t, client, cl.URL(), id), ref)
+	if obs.C("serve.resume.snapshot").Value() == restored {
+		t.Fatal("the adopting node replayed the journal instead of restoring its snapshot")
 	}
 }

@@ -564,12 +564,13 @@ func (s *shippingStore) Load(id string) (*serve.JournalInfo, serve.Appender, err
 		return nil, nil, err
 	}
 	// Load truncates the journal to the header plus the complete
-	// observations (terminal lines and torn tails stripped), so the next
-	// ship index is known without an Export round-trip. Deriving it from
-	// Export would leave idx at 0 if the Export failed — and every ship
-	// at an index below the follower's count is acked as a dedup, so new
-	// records would be silently dropped instead of replicated.
-	sa := &shippingAppender{node: s.node, id: id, local: app, idx: 1 + len(info.Observations), needSync: make(map[string]bool)}
+	// observations and snapshots (terminal lines and torn tails
+	// stripped), so the next ship index is known without an Export
+	// round-trip. Deriving it from Export would leave idx at 0 if the
+	// Export failed — and every ship at an index below the follower's
+	// count is acked as a dedup, so new records would be silently
+	// dropped instead of replicated.
+	sa := &shippingAppender{node: s.node, id: id, local: app, idx: info.Lines, needSync: make(map[string]bool)}
 	// Sync every follower eagerly so a freshly resumed (or adopted)
 	// campaign is re-replicated before it accepts new observations; on
 	// failure the first append retries via needSync.
@@ -627,10 +628,12 @@ type shippingAppender struct {
 // the index once a quorum of one has acknowledged it. A gap rejection
 // (follower missing records: new follower after a membership change, or
 // a reconciled one) heals with a full sync and one retry. Returns nil
-// when the cluster has no follower to ship to.
+// when the cluster has no follower to ship to, and still advances the
+// index: it counts the local journal's lines, which the caller appends.
 func (a *shippingAppender) replicate(line []byte) error {
 	fols := a.node.followerList(a.id)
 	if len(fols) == 0 {
+		a.idx++
 		return nil
 	}
 	acked := 0
@@ -765,6 +768,35 @@ func (a *shippingAppender) AppendFinal(state, errMsg string, converged bool, mv 
 		}
 	}
 	return a.local.AppendFinal(state, errMsg, converged, mv, fp)
+}
+
+// AppendSnapshot implements serve.Appender. A snapshot only saves
+// replay work, so like the terminal line it is shipped best effort, and
+// after the local append: it never blocks the campaign.
+func (a *shippingAppender) AppendSnapshot(snap serve.Snapshot, final *serve.Final) error {
+	if err := a.local.AppendSnapshot(snap, final); err != nil {
+		return err
+	}
+	if line, err := serve.EncodeJournalSnapshot(snap); err == nil {
+		a.replicateHeld(line)
+	}
+	if final != nil {
+		if line, err := serve.EncodeJournalFinal(final.State, final.Error, final.Converged, final.ModelVersion, final.Fingerprint); err == nil {
+			a.replicateHeld(line)
+		}
+	}
+	return nil
+}
+
+// replicateHeld ships a record the local journal already holds. When no
+// follower takes it, the ship index still moves past it, since it must
+// stay the local line count: replicate has marked every follower for a
+// full sync, which carries the record before the next one.
+func (a *shippingAppender) replicateHeld(line []byte) {
+	if err := a.replicate(line); err != nil {
+		a.idx++
+		obs.Emit("ring.ship.snapshot.failed", map[string]any{"node": a.node.ID, "campaign": a.id, "err": err.Error()})
+	}
 }
 
 // Disable implements serve.Appender.

@@ -2,10 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -27,7 +27,15 @@ var (
 	campaignsStopped  = obs.C("serve.campaign.stopped")
 	observationsCount = obs.C("serve.observe.count")
 	observeDuplicates = obs.C("serve.observe.duplicates")
+	resumeSnapshots   = obs.C("serve.resume.snapshot")
+	resumeFull        = obs.C("serve.resume.full")
+	resumeTail        = obs.H("serve.resume.tail", 0, 1, 4, 16, 32, 64, 256)
 )
+
+// snapshotEvery is the snapshot cadence in journaled observations: a
+// resume replays at most this many observations past the newest
+// snapshot (plus those of a step the session had not finished).
+const snapshotEvery = 32
 
 // Errors surfaced to HTTP clients with specific status codes.
 var (
@@ -58,6 +66,10 @@ type campaignState struct {
 	seq          int
 	stepping     bool // the actor owes sess a step
 	err          error
+
+	// snapN is the observation count the newest snapshot written or
+	// restored covers (0: none yet).
+	snapN int
 
 	// idem maps idempotency keys to the seq their observation was
 	// applied at; rebuilt from the journal on resume so retries across
@@ -104,20 +116,23 @@ type Campaign struct {
 
 // newCampaign builds a campaign (fresh or resumed) and starts its
 // actor. jw is the open journal appender (nil disables persistence; the
-// campaign takes ownership and closes it); journal is the replay prefix
-// (nil for fresh campaigns); expectVersion/expectFP carry the
-// checkpoint's integrity pin.
-func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience.Breaker, journal []Observation, expectVersion int, expectFP uint64) (*Campaign, error) {
+// campaign takes ownership and closes it); info is the loaded journal a
+// resumed campaign restores and replays (nil for a fresh campaign),
+// whose observation pin and snapshot pins guard the rebuild.
+func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience.Breaker, info *JournalInfo) (*Campaign, error) {
 	c := &Campaign{
-		ID:            id,
-		Spec:          spec,
-		jw:            jw,
-		jbreaker:      jbreaker,
-		resumeVersion: expectVersion,
-		resumeFP:      expectFP,
-		mailbox:       make(chan func(*campaignState), 16),
-		ended:         make(chan struct{}),
-		closed:        make(chan struct{}),
+		ID:       id,
+		Spec:     spec,
+		jw:       jw,
+		jbreaker: jbreaker,
+		mailbox:  make(chan func(*campaignState), 16),
+		ended:    make(chan struct{}),
+		closed:   make(chan struct{}),
+	}
+	var journal []Observation
+	if info != nil {
+		journal = info.Observations
+		c.resumeVersion, c.resumeFP = info.ModelVersion, info.Fingerprint
 	}
 	switch spec.Source {
 	case "client":
@@ -176,22 +191,29 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 		st.model = m
 		st.modelVersion++
 	}
-	if st.sess, err = al.NewSession(c.cands, c.Spec.Seeds, cfg, rand.New(rand.NewSource(c.Spec.Seed))); err != nil {
+	// A nil rng: the session owns a counting RNG seeded from Spec.Seed,
+	// so its snapshots can record the stream position.
+	if st.sess, err = al.NewSession(c.cands, c.Spec.Seeds, cfg, nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
-	go c.actor(st)
+	go c.actor(st, cfg, info)
 	return c, nil
 }
 
 // actor executes mailbox closures one at a time until close(), and
 // steps the session whenever it owes one. Work queued during a step is
-// served before the next step, so neither starves the other.
-func (c *Campaign) actor(st *campaignState) {
+// served before the next step, so neither starves the other. A resumed
+// campaign (info non-nil) first restores its session, configured by
+// cfg, from one of the journal's snapshots.
+func (c *Campaign) actor(st *campaignState, cfg al.LoopConfig, info *JournalInfo) {
 	defer func() {
 		if c.jw != nil {
 			c.jw.Close()
 		}
 	}()
+	if info != nil {
+		c.restore(st, cfg, info.Snapshots)
+	}
 	for {
 		if st.stepping {
 			// Let the goroutines the last closure woke — an observe
@@ -260,23 +282,84 @@ func (c *Campaign) doCtx(ctx context.Context, fn func(*campaignState)) error {
 	}
 }
 
+// restore rebuilds a resumed campaign's session from the newest
+// journal snapshot that decodes and validates, so that only the
+// observations after it replay through the session. A snapshot that
+// fails gives way to the one before it, and with none left the whole
+// journal replays. A restored model whose fingerprint differs from the
+// snapshot's pin fails the campaign, as a diverged replay does.
+func (c *Campaign) restore(st *campaignState, cfg al.LoopConfig, snapshots []Snapshot) {
+	for i := len(snapshots) - 1; i >= 0; i-- {
+		snap := snapshots[i]
+		var ck al.Checkpoint
+		err := json.Unmarshal(snap.Session, &ck)
+		var sess *al.Session
+		if err == nil {
+			sess, err = al.RestoreSession(c.cands, cfg, &ck)
+		}
+		if err != nil {
+			obs.Emit("serve.resume.snapshot.invalid", map[string]any{"campaign": c.ID, "n": snap.N, "err": err.Error()})
+			continue
+		}
+		st.sess, st.model, st.modelVersion = sess, sess.Result().Final, snap.ModelVersion
+		st.replay, st.snapN = st.journal[snap.N:], snap.N
+		if len(st.replay) == 0 {
+			st.state = StateRunning
+		}
+		resumeSnapshots.Inc()
+		resumeTail.Observe(float64(len(st.replay)))
+		fp := st.model.Fingerprint()
+		if fp != snap.Fingerprint {
+			c.integrityFailure(st, fmt.Errorf("serve: snapshot after %d observations restored a model other than the one it pinned", snap.N), map[string]any{
+				"snapshot": snap.N,
+				"version":  snap.ModelVersion,
+				"want":     strconv.FormatUint(snap.Fingerprint, 16),
+				"got":      strconv.FormatUint(fp, 16),
+			})
+		} else {
+			c.checkResumePin(st)
+		}
+		return
+	}
+	resumeFull.Inc()
+	resumeTail.Observe(float64(len(st.journal)))
+}
+
+// checkResumePin fails a resumed campaign whose model, at the version
+// the journal's last observation pinned, has another fingerprint, and
+// reports whether the campaign passed.
+func (c *Campaign) checkResumePin(st *campaignState) bool {
+	if c.resumeFP == 0 || st.modelVersion != c.resumeVersion {
+		return true
+	}
+	if fp := st.model.Fingerprint(); fp != c.resumeFP {
+		c.integrityFailure(st, fmt.Errorf("serve: resume replay diverged from checkpoint fingerprint (version %d)", c.resumeVersion), map[string]any{
+			"version": st.modelVersion,
+			"want":    strconv.FormatUint(c.resumeFP, 16),
+			"got":     strconv.FormatUint(fp, 16),
+		})
+		return false
+	}
+	return true
+}
+
 // step advances the session by one point. Next runs the model update
 // and selection; a replaying campaign then answers the point from its
 // journal and a dataset campaign from its dataset, while a client
 // campaign publishes it as the pending suggestion and waits for the
-// observe that answers it.
+// observe that answers it. Every snapshotEvery observations the session
+// is snapshotted at the boundary before Next; the snapshot is written
+// once Next has shown the session goes on (an ending session writes its
+// snapshot with the terminal line instead).
 func (c *Campaign) step(st *campaignState) {
+	snap := c.dueSnapshot(st)
 	version := st.modelVersion
 	x, err := st.sess.Next()
-	if c.resumeFP != 0 && st.modelVersion != version && st.modelVersion == c.resumeVersion {
-		if fp := st.model.Fingerprint(); fp != c.resumeFP {
-			c.integrityFailure(st, fmt.Errorf("serve: resume replay diverged from checkpoint fingerprint (version %d)", c.resumeVersion), map[string]any{
-				"version": st.modelVersion,
-				"want":    strconv.FormatUint(c.resumeFP, 16),
-				"got":     strconv.FormatUint(fp, 16),
-			})
-			return
-		}
+	if st.modelVersion != version && !c.checkResumePin(st) {
+		return
+	}
+	if snap != nil && x != nil {
+		c.appendSnapshot(st, *snap, nil)
 	}
 	switch {
 	case err != nil:
@@ -338,6 +421,46 @@ func (c *Campaign) integrityFailure(st *campaignState, err error, attrs map[stri
 	c.finish(st, StateFailed, err)
 }
 
+// dueSnapshot returns a snapshot of the session when one is due: the
+// journal is live (nothing left to replay), snapshotEvery observations
+// have been journaled since the last snapshot, and the session is at an
+// iteration boundary.
+func (c *Campaign) dueSnapshot(st *campaignState) *Snapshot {
+	if c.jw == nil || len(st.replay) > 0 || len(st.journal)-st.snapN < snapshotEvery {
+		return nil
+	}
+	return c.snapshot(st)
+}
+
+// snapshot encodes the session's checkpoint as a journal snapshot of
+// every observation so far; nil when the session cannot snapshot.
+func (c *Campaign) snapshot(st *campaignState) *Snapshot {
+	ck, ok := st.sess.Snapshot()
+	if !ok {
+		return nil
+	}
+	raw, err := json.Marshal(ck)
+	if err != nil {
+		obs.Emit("serve.journal.error", map[string]any{"campaign": c.ID, "err": err.Error()})
+		return nil
+	}
+	return &Snapshot{N: len(st.journal), ModelVersion: st.modelVersion, Fingerprint: st.model.Fingerprint(), Session: raw}
+}
+
+// appendSnapshot writes a snapshot line (with the terminal line when
+// final is non-nil). It is best effort: a failure costs resume time,
+// never an observation.
+func (c *Campaign) appendSnapshot(st *campaignState, snap Snapshot, final *Final) error {
+	err := c.jw.AppendSnapshot(snap, final)
+	if err != nil {
+		journalAppendErrs.Inc()
+		obs.Emit("serve.journal.error", map[string]any{"campaign": c.ID, "err": err.Error()})
+		return err
+	}
+	st.snapN = snap.N
+	return nil
+}
+
 // finish moves the campaign to a terminal state and flushes the final
 // journal line.
 func (c *Campaign) finish(st *campaignState, state string, err error) {
@@ -360,7 +483,10 @@ func (c *Campaign) finish(st *campaignState, state string, err error) {
 }
 
 // appendFinal writes the terminal journal line (best effort: a failure
-// only costs the informational trailer, never the observations).
+// only costs the informational trailer, never the observations). A
+// campaign that did not fail, with its journal replayed and its session
+// at a boundary no snapshot covers yet, writes a snapshot in the same
+// write, so a resume restores it without replaying anything.
 func (c *Campaign) appendFinal(st *campaignState) {
 	if c.jw == nil {
 		return
@@ -373,7 +499,14 @@ func (c *Campaign) appendFinal(st *campaignState) {
 	if st.err != nil {
 		errMsg = st.err.Error()
 	}
-	if err := c.jw.AppendFinal(st.state, errMsg, st.sess.Result().Converged, st.modelVersion, fp); err != nil {
+	converged := st.sess.Result().Converged
+	if st.state != StateFailed && len(st.replay) == 0 && st.snapN < len(st.journal) {
+		final := &Final{State: st.state, Converged: converged, ModelVersion: st.modelVersion, Fingerprint: fp}
+		if snap := c.snapshot(st); snap != nil && c.appendSnapshot(st, *snap, final) == nil {
+			return
+		}
+	}
+	if err := c.jw.AppendFinal(st.state, errMsg, converged, st.modelVersion, fp); err != nil {
 		journalAppendErrs.Inc()
 		obs.Emit("serve.journal.error", map[string]any{"campaign": c.ID, "err": err.Error()})
 	}

@@ -29,23 +29,33 @@
 //
 // Campaign persistence is event-sourced: an append-only JSONL journal
 // (one file per campaign — a header line, one line per accepted
-// observation, and a terminal line when the campaign ends) stores the
-// campaign spec plus the ordered observations, not a model snapshot.
-// Each record costs one write plus one fsync, and every observation is
-// journaled BEFORE it is acknowledged — for client campaigns a journal
-// failure rejects the observation with ErrJournal (fail closed) rather
-// than ack data that would not survive a crash. A crash can tear at
-// most the final, unacknowledged line; the loader drops a torn tail
-// and resumes from the last complete record. Resume folds the journal
-// through a fresh session, one Tell per entry; the session
-// deterministically replays every fit, rejection, retry and RNG draw,
-// so the rebuilt state — records, model, and the subsequent suggestion
-// stream — is byte-identical to the uninterrupted run. Two checks guard
-// the invariant, and either fails the campaign instead of serving
-// silently diverged suggestions: each point the replay asks for must
-// equal the entry's journaled x bit for bit, and the journal records
-// the model fingerprint at its model version, which a replay reaching
-// that version must reproduce.
+// observation, session snapshot lines, and a terminal line when the
+// campaign ends) stores the campaign spec plus the ordered
+// observations. Each record costs one write plus one fsync, and every
+// observation is journaled BEFORE it is acknowledged — for client
+// campaigns a journal failure rejects the observation with ErrJournal
+// (fail closed) rather than ack data that would not survive a crash. A
+// crash can tear at most the final, unacknowledged line; the loader
+// drops a torn tail and resumes from the last complete record.
+//
+// A snapshot line (Snapshot) carries the session's al.Checkpoint after
+// its first n observations, pinned to the model version and
+// fingerprint current then. The actor writes one every 32 observations
+// at an iteration boundary, outside any observe's ack path, and one with
+// the terminal line. Resume restores the newest snapshot that validates
+// (al.RestoreSession: one fit at the recorded hyperparameters) and
+// folds only the later observations through the session, one Tell per
+// entry; without a valid snapshot it folds the whole journal through a
+// fresh session. Either way the session deterministically replays every
+// fit, rejection, retry and RNG draw, so the rebuilt state — records,
+// model, and the subsequent suggestion stream — is byte-identical to
+// the uninterrupted run. Three checks guard the invariant, and each
+// fails the campaign instead of serving silently diverged suggestions:
+// each point the replay asks for must equal the entry's journaled x bit
+// for bit, the journal records the model fingerprint at its model
+// version, which a replay reaching that version must reproduce, and a
+// restored snapshot's model must have the fingerprint the snapshot
+// pins.
 //
 // # Storage
 //
@@ -54,7 +64,7 @@
 // MemStore for tests and for cluster nodes whose durability comes from
 // replication. Raw journal bytes are the unit of exchange — Export and
 // Import move a campaign between stores byte-for-byte, and the
-// canonical line encoders (EncodeJournalHeader/Obs/Final) guarantee
+// canonical line encoders (EncodeJournalHeader/Obs/Snapshot/Final) guarantee
 // that the same campaign produces identical bytes in every store. That
 // byte identity is what lets internal/ring ship journals between
 // replicas and replay them anywhere with the same fingerprinted trace;

@@ -17,12 +17,14 @@ import (
 // rejects files written by an incompatible server.
 //
 // Version 2 is an append-only JSONL log: a header line, one line per
-// accepted observation, and (after the campaign ends) a terminal
-// line. Appending one observation is one write+fsync of one line, so a
-// crash can lose at most the final, unacknowledged line — the loader
-// drops a torn tail and resumes from the last complete record, which by
-// construction is an observation the client was never acked for (or was
-// acked for and will dedup via its idempotency key).
+// accepted observation, snapshot lines (the session checkpoint after
+// the first n observations; see Snapshot), and (after the campaign
+// ends) a terminal line. Appending one observation is one write+fsync
+// of one line, so a crash can lose at most the final, unacknowledged
+// line — the loader drops a torn tail and resumes from the last
+// complete record, which by construction is an observation the client
+// was never acked for (or was acked for and will dedup via its
+// idempotency key), or a snapshot, which only saves replay work.
 const journalVersion = 2
 
 var (
@@ -48,6 +50,9 @@ type Appender interface {
 	AppendObs(o Observation, modelVersion int, fp uint64) error
 	// AppendFinal appends the terminal outcome line.
 	AppendFinal(state, errMsg string, converged bool, modelVersion int, fp uint64) error
+	// AppendSnapshot appends a session snapshot line and, when final is
+	// non-nil, the terminal line after it in the same write.
+	AppendSnapshot(snap Snapshot, final *Final) error
 	// Disable stops journaling without poisoning the stored prefix: the
 	// valid prefix stays replayable (dataset campaigns use this after an
 	// append failure instead of halting).
@@ -89,18 +94,63 @@ func EncodeJournalFinal(state, errMsg string, converged bool, modelVersion int, 
 	}})
 }
 
+// EncodeJournalSnapshot renders the canonical snapshot line.
+func EncodeJournalSnapshot(snap Snapshot) ([]byte, error) {
+	return encodeRecord(&journalRecord{Snapshot: &journalSnapshot{
+		N: snap.N, MV: snap.ModelVersion, FP: fpHex(snap.Fingerprint), Session: snap.Session,
+	}})
+}
+
+// encodeSnapshotFinal renders a snapshot line, followed by the terminal
+// line when final is non-nil: the bytes of one AppendSnapshot.
+func encodeSnapshotFinal(snap Snapshot, final *Final) ([]byte, error) {
+	buf, err := EncodeJournalSnapshot(snap)
+	if err != nil || final == nil {
+		return buf, err
+	}
+	line, err := EncodeJournalFinal(final.State, final.Error, final.Converged, final.ModelVersion, final.Fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, line...), nil
+}
+
+// Snapshot is a journal snapshot record: the campaign session's
+// checkpoint (an al.Checkpoint as JSON) after its first N journaled
+// observations, pinned to the model version and fingerprint current
+// then. Resume restores the newest valid snapshot and replays only the
+// observations after it. The checkpoint stays raw JSON until resume
+// decodes it, so a snapshot that fails to decode costs that snapshot,
+// not the journal.
+type Snapshot struct {
+	N            int
+	ModelVersion int
+	Fingerprint  uint64
+	Session      json.RawMessage
+}
+
+// Final is the outcome a terminal journal line records.
+type Final struct {
+	State        string
+	Error        string
+	Converged    bool
+	ModelVersion int
+	Fingerprint  uint64
+}
+
 // errJournalDirty means a previous append left the file tail in an
 // unknown state (torn write, or a failed write that could not be rolled
 // back); the writer refuses everything until the next boot re-validates
 // the file.
 var errJournalDirty = errors.New("serve: journal writer dirty, restart required")
 
-// journalRecord is one line of the v2 journal; exactly one of the three
+// journalRecord is one line of the v2 journal; exactly one of the four
 // fields is set.
 type journalRecord struct {
-	Header *journalHeader `json:"h,omitempty"`
-	Obs    *journalObs    `json:"o,omitempty"`
-	Final  *journalFinal  `json:"f,omitempty"`
+	Header   *journalHeader   `json:"h,omitempty"`
+	Obs      *journalObs      `json:"o,omitempty"`
+	Snapshot *journalSnapshot `json:"s,omitempty"`
+	Final    *journalFinal    `json:"f,omitempty"`
 }
 
 // journalHeader is the first line: identity plus the spec the campaign
@@ -127,6 +177,14 @@ type journalObs struct {
 	FP   string       `json:"fp,omitempty"`
 }
 
+// journalSnapshot is the line form of Snapshot (hex fingerprint).
+type journalSnapshot struct {
+	N       int             `json:"n"`
+	MV      int             `json:"mv,omitempty"`
+	FP      string          `json:"fp,omitempty"`
+	Session json.RawMessage `json:"session"`
+}
+
 // journalFinal records the campaign's outcome. Resume strips it (the
 // replay re-derives and re-appends it), so it is informational for
 // humans and external tools reading the file.
@@ -141,21 +199,28 @@ type journalFinal struct {
 // journalFile is the loaded view of a checkpoint. ModelVersion and
 // Fingerprint carry the integrity pin of the LAST complete observation;
 // appendOffset is the byte offset where resume continues appending —
-// past the last complete observation, excluding any terminal line and
-// any torn tail.
+// past the last complete observation or snapshot, excluding any
+// terminal line and any torn tail — and lines counts the records
+// before it.
 type journalFile struct {
 	Version      int
 	ID           string
 	Spec         CampaignSpec
 	Observations []Observation
+	Snapshots    []Snapshot // the newest keptSnapshots, oldest first
 	ModelVersion int
 	Fingerprint  uint64
 	Done         bool
 	Error        string
 
 	appendOffset int64
+	lines        int
 	truncated    bool // a torn tail was dropped during load
 }
+
+// keptSnapshots bounds the snapshots a load keeps: the newest, and one
+// to fall back to when the newest does not validate.
+const keptSnapshots = 2
 
 func fpHex(fp uint64) string {
 	if fp == 0 {
@@ -220,7 +285,7 @@ func parseJournal(data []byte, src string) (*journalFile, error) {
 			}
 			jf.ID = rec.Header.ID
 			jf.Spec = rec.Header.Spec
-			jf.appendOffset = int64(off + nl + 1)
+			jf.appendOffset, jf.lines = int64(off+nl+1), n+1
 		case rec.Obs != nil:
 			jf.Observations = append(jf.Observations, Observation{
 				X: rec.Obs.X, Y: rec.Obs.Y, Cost: rec.Obs.Cost, Key: rec.Obs.Key,
@@ -229,7 +294,18 @@ func parseJournal(data []byte, src string) (*journalFile, error) {
 				jf.ModelVersion = rec.Obs.MV
 				jf.Fingerprint, _ = strconv.ParseUint(rec.Obs.FP, 16, 64)
 			}
-			jf.appendOffset = int64(off + nl + 1)
+			jf.appendOffset, jf.lines = int64(off+nl+1), n+1
+		case rec.Snapshot != nil:
+			// A snapshot can only cover observations written before it;
+			// one that claims more is kept as a line but never restored.
+			if sn := rec.Snapshot; sn.N >= 0 && sn.N <= len(jf.Observations) {
+				fp, _ := strconv.ParseUint(sn.FP, 16, 64)
+				jf.Snapshots = append(jf.Snapshots, Snapshot{N: sn.N, ModelVersion: sn.MV, Fingerprint: fp, Session: sn.Session})
+				if len(jf.Snapshots) > keptSnapshots {
+					jf.Snapshots = append(jf.Snapshots[:0], jf.Snapshots[1:]...)
+				}
+			}
+			jf.appendOffset, jf.lines = int64(off+nl+1), n+1
 		case rec.Final != nil:
 			jf.Done = rec.Final.State == StateDone
 			jf.Error = rec.Final.Error
@@ -281,7 +357,11 @@ func createJournal(path, id string, spec CampaignSpec, tear faults.TornWriteConf
 		return nil, fmt.Errorf("serve: create journal: %w", err)
 	}
 	w := &journalWriter{path: path, f: f, tear: tear}
-	if err := w.write(&journalRecord{Header: &journalHeader{Version: journalVersion, ID: id, Spec: spec}}); err != nil {
+	buf, err := EncodeJournalHeader(id, spec)
+	if err == nil {
+		err = w.write(buf)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, fmt.Errorf("serve: write journal header: %w", err)
@@ -308,20 +388,17 @@ func openJournalAt(path string, off int64, seqBase int, tear faults.TornWriteCon
 	return &journalWriter{path: path, f: f, off: off, seq: seqBase, tear: tear}, nil
 }
 
-// write appends one record as a single line+fsync. On failure it rolls
-// the file back to the last complete record so a retry starts clean;
-// when even the rollback fails (or a torn write simulated a crash), the
+// write appends encoded records (one line, or a snapshot and terminal
+// line together) with a single write+fsync. On failure it rolls the
+// file back to the last complete record so a retry starts clean; when
+// even the rollback fails (or a torn write simulated a crash), the
 // writer goes dirty and fails closed.
-func (w *journalWriter) write(rec *journalRecord) error {
+func (w *journalWriter) write(buf []byte) error {
 	if w.dirty {
 		return errJournalDirty
 	}
 	if w.broken {
 		return errJournalDirty
-	}
-	buf, err := encodeRecord(rec)
-	if err != nil {
-		return err
 	}
 	w.seq++
 	if frac, torn := faults.TearDecision(w.tear, w.seq); torn {
@@ -363,16 +440,29 @@ func (w *journalWriter) write(rec *journalRecord) error {
 
 // AppendObs implements Appender.
 func (w *journalWriter) AppendObs(o Observation, mv int, fp uint64) error {
-	return w.write(&journalRecord{Obs: &journalObs{
-		X: o.X, Y: o.Y, Cost: o.Cost, Key: o.Key, MV: mv, FP: fpHex(fp),
-	}})
+	buf, err := EncodeJournalObs(o, mv, fp)
+	if err != nil {
+		return err
+	}
+	return w.write(buf)
 }
 
 // AppendFinal implements Appender.
 func (w *journalWriter) AppendFinal(state, errMsg string, converged bool, mv int, fp uint64) error {
-	return w.write(&journalRecord{Final: &journalFinal{
-		State: state, Error: errMsg, Converged: converged, MV: mv, FP: fpHex(fp),
-	}})
+	buf, err := EncodeJournalFinal(state, errMsg, converged, mv, fp)
+	if err != nil {
+		return err
+	}
+	return w.write(buf)
+}
+
+// AppendSnapshot implements Appender.
+func (w *journalWriter) AppendSnapshot(snap Snapshot, final *Final) error {
+	buf, err := encodeSnapshotFinal(snap, final)
+	if err != nil {
+		return err
+	}
+	return w.write(buf)
 }
 
 // Disable stops journaling without poisoning the file: the valid prefix

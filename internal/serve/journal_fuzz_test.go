@@ -16,6 +16,8 @@ const (
 	fuzzObs1   = `{"o":{"x":[0],"y":1,"cost":1,"key":"k1","mv":1,"fp":"ab12"}}`
 	fuzzObs2   = `{"o":{"x":[1],"y":2,"cost":1.5,"key":"k2","mv":2,"fp":"cd34"}}`
 	fuzzFinal  = `{"f":{"state":"done","converged":true,"mv":2,"fp":"cd34"}}`
+	fuzzSnap1  = `{"s":{"n":1,"mv":1,"fp":"ab12","session":{"version":1,"strategy":"variance-reduction","response":"y","seed":1,"draws":0,"next_iter":1,"train":[0],"train_y":[1],"pool":null,"cum_cost":1,"amsd_hist":null,"n_seeds":1,"refit_hyper":[0,0],"refit_log_sn":-2,"refit_n":1,"has_pending":false,"pending_y":0,"records":null}}}`
+	fuzzSnap2  = `{"s":{"n":2,"mv":2,"fp":"cd34","session":{"version":1,"strategy":"variance-reduction","response":"y","seed":1,"draws":0,"next_iter":2,"train":[0,1],"train_y":[1,2],"pool":null,"cum_cost":2.5,"amsd_hist":[0.5],"n_seeds":1,"refit_hyper":[0,0],"refit_log_sn":-2,"refit_n":1,"has_pending":true,"pending_y":2,"records":[{"iter":1,"row":1,"sd_chosen":0.5,"amsd":0.5,"rmse":null,"coverage":null,"cum_cost":2.5,"lml":-1,"noise":0.1,"train":2}]}}}`
 )
 
 func journalBytes(lines ...string) []byte {
@@ -31,10 +33,11 @@ func journalBytes(lines ...string) []byte {
 // the crash-recovery path every boot runs. Invalid input must be
 // rejected with an error, never a panic; accepted journals must satisfy
 // the recovery contract: a usable campaign id, an appendOffset inside
-// the file, and a prefix-consistency invariant — truncating the file at
-// appendOffset and reloading yields the same observations with no
-// truncation, since that byte range is exactly the replayable log
-// resume appends after.
+// the file, no snapshot covering more observations than the loaded
+// prefix holds, and a prefix-consistency invariant — truncating the
+// file at appendOffset and reloading yields the same observations and
+// snapshots with no truncation, since that byte range is exactly the
+// replayable log resume appends after.
 func FuzzJournalLoad(f *testing.F) {
 	// A complete, healthy journal.
 	f.Add(journalBytes(fuzzHeader, fuzzObs1, fuzzObs2, fuzzFinal))
@@ -60,6 +63,14 @@ func FuzzJournalLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a journal\n"))
 	f.Add([]byte("\n\n\n"))
+	// Snapshot lines: mid-journal, terminal (in the final line's write),
+	// a torn snapshot tail, a snapshot followed by a torn observation,
+	// and one claiming more observations than precede it.
+	f.Add(journalBytes(fuzzHeader, fuzzObs1, fuzzSnap1, fuzzObs2))
+	f.Add(journalBytes(fuzzHeader, fuzzObs1, fuzzSnap1, fuzzObs2, fuzzSnap2, fuzzFinal))
+	f.Add(append(journalBytes(fuzzHeader, fuzzObs1, fuzzObs2), []byte(fuzzSnap2[:len(fuzzSnap2)/2])...))
+	f.Add(append(journalBytes(fuzzHeader, fuzzObs1, fuzzSnap1), []byte(fuzzObs2[:20])...))
+	f.Add(journalBytes(fuzzHeader, fuzzObs1, fuzzSnap2, fuzzObs2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -83,6 +94,17 @@ func FuzzJournalLoad(f *testing.F) {
 		}
 		if jf.appendOffset <= 0 || jf.appendOffset > int64(len(data)) {
 			t.Fatalf("appendOffset %d outside (0, %d]", jf.appendOffset, len(data))
+		}
+		if len(jf.Snapshots) > keptSnapshots {
+			t.Fatalf("load kept %d snapshots, at most %d", len(jf.Snapshots), keptSnapshots)
+		}
+		for _, sn := range jf.Snapshots {
+			if sn.N < 0 || sn.N > len(jf.Observations) {
+				t.Fatalf("snapshot covers %d observations, the loaded prefix holds %d", sn.N, len(jf.Observations))
+			}
+		}
+		if got := bytes.Count(data[:jf.appendOffset], []byte("\n")); got != jf.lines {
+			t.Fatalf("%d lines before appendOffset, load counted %d", got, jf.lines)
 		}
 
 		// Prefix consistency: the bytes before appendOffset are exactly
@@ -110,6 +132,16 @@ func FuzzJournalLoad(f *testing.F) {
 		if jf2.ModelVersion != jf.ModelVersion || jf2.Fingerprint != jf.Fingerprint {
 			t.Fatalf("prefix reload changed model pin (%d, %x) → (%d, %x)",
 				jf.ModelVersion, jf.Fingerprint, jf2.ModelVersion, jf2.Fingerprint)
+		}
+		if len(jf2.Snapshots) != len(jf.Snapshots) || jf2.lines != jf.lines {
+			t.Fatalf("prefix reload changed snapshots %d → %d, lines %d → %d",
+				len(jf.Snapshots), len(jf2.Snapshots), jf.lines, jf2.lines)
+		}
+		for i, sn := range jf2.Snapshots {
+			if want := jf.Snapshots[i]; sn.N != want.N || sn.ModelVersion != want.ModelVersion ||
+				sn.Fingerprint != want.Fingerprint || !bytes.Equal(sn.Session, want.Session) {
+				t.Fatalf("prefix reload changed snapshot %d", i)
+			}
 		}
 		for i, o := range jf2.Observations {
 			want := jf.Observations[i]

@@ -20,6 +20,12 @@ type JournalInfo struct {
 	Spec CampaignSpec
 	// Observations is the accepted (x, y, cost) stream.
 	Observations []Observation
+	// Snapshots holds the newest snapshot records (at most two, oldest
+	// first), each covering at most len(Observations) observations.
+	Snapshots []Snapshot
+	// Lines counts the complete records kept — header, observations,
+	// snapshots — which is the index of the next record appended.
+	Lines int
 	// ModelVersion and Fingerprint pin the model identity at the last
 	// complete observation — the integrity check replay must reproduce.
 	ModelVersion int

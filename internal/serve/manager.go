@@ -183,7 +183,7 @@ func (m *Manager) createLocked(id string, spec CampaignSpec) (*Campaign, error) 
 			return nil, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
-	c, err := newCampaign(id, spec, app, m.journalBreaker, nil, 0, 0)
+	c, err := newCampaign(id, spec, app, m.journalBreaker, nil)
 	if err != nil {
 		if app != nil {
 			app.Close()
@@ -272,7 +272,7 @@ func (m *Manager) ResumeOne(id string) error {
 		app.Close()
 		return fmt.Errorf("serve: campaign %q already active", id)
 	}
-	c, err := newCampaign(id, info.Spec, app, m.journalBreaker, info.Observations, info.ModelVersion, info.Fingerprint)
+	c, err := newCampaign(id, info.Spec, app, m.journalBreaker, info)
 	if err != nil {
 		app.Close()
 		return err

@@ -40,7 +40,8 @@ type Store interface {
 
 	// Load reads the journal for id, applying the crash-recovery rules
 	// (torn tails dropped, terminal lines stripped), and reopens it for
-	// appending positioned after the last complete observation.
+	// appending positioned after the last complete observation or
+	// snapshot.
 	Load(id string) (*JournalInfo, Appender, error)
 
 	// Remove deletes the journal for id. Removing an absent id is not an
@@ -123,7 +124,7 @@ func (s *DirStore) Load(id string) (*JournalInfo, Appender, error) {
 		}
 		return nil, nil, err
 	}
-	jw, err := openJournalAt(s.path(id), jf.appendOffset, len(jf.Observations), s.tear)
+	jw, err := openJournalAt(s.path(id), jf.appendOffset, jf.lines-1, s.tear)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -325,6 +326,15 @@ func (a *memAppender) AppendFinal(state, errMsg string, converged bool, mv int, 
 	return a.append(line)
 }
 
+// AppendSnapshot implements Appender.
+func (a *memAppender) AppendSnapshot(snap Snapshot, final *Final) error {
+	buf, err := encodeSnapshotFinal(snap, final)
+	if err != nil {
+		return err
+	}
+	return a.append(buf)
+}
+
 // Disable implements Appender.
 func (a *memAppender) Disable() { a.broken = true }
 
@@ -344,6 +354,8 @@ func (jf *journalFile) info() *JournalInfo {
 		ID:           jf.ID,
 		Spec:         jf.Spec,
 		Observations: jf.Observations,
+		Snapshots:    jf.Snapshots,
+		Lines:        jf.lines,
 		ModelVersion: jf.ModelVersion,
 		Fingerprint:  jf.Fingerprint,
 		Done:         jf.Done,

@@ -16,9 +16,10 @@
 // same process, so machine speed cancels. benchdiff requires
 // refit/incremental ≥ -min-speedup (default 3, the paper-repro
 // acceptance floor for the O(n³)→O(n²) dense update path) and
-// dense_n8192/sparse_n8192 ≥ -min-sparse-speedup (default 10, the
+// dense_n2048/sparse_n2048 ≥ -min-sparse-speedup (default 10, the
 // large-n floor for the sparse tier's O(m²) step against the dense
-// refit a campaign would otherwise pay at that size).
+// refit a campaign would otherwise pay at that size; the pair is
+// matched in n, and the dense cost only grows faster beyond it).
 //
 // Absolute allocation figures are gated too: the baseline's max_b_op
 // maps a benchmark name to its B/op ceiling (defaults in defaultMaxBOp).
@@ -160,11 +161,11 @@ func checkSpeedup(results map[string]benchResult, minSpeedup float64) error {
 	return checkRatio(results, "BenchmarkALLoop/refit", "BenchmarkALLoop/incremental", minSpeedup)
 }
 
-// checkSparseSpeedup enforces the large-n tier floor: at n = 8192 the
+// checkSparseSpeedup enforces the large-n tier floor: at n = 2048 the
 // dense from-scratch refit must cost at least minSpeedup× the sparse
 // incremental step.
 func checkSparseSpeedup(results map[string]benchResult, minSpeedup float64) error {
-	return checkRatio(results, "BenchmarkALLoop/dense_n8192", "BenchmarkALLoop/sparse_n8192", minSpeedup)
+	return checkRatio(results, "BenchmarkALLoop/dense_n2048", "BenchmarkALLoop/sparse_n2048", minSpeedup)
 }
 
 // checkMaxBytes enforces the absolute B/op ceilings. A benchmark absent
@@ -237,7 +238,7 @@ func writeBaseline(path string, results map[string]benchResult, minSpeedup, minS
 	base := baselineFile{
 		Note: "Deterministic work counts per benchmark op, recorded by scripts/benchdiff -update. " +
 			"CI fails if a guarded metric (gp_fits/op, cholesky/op, cand_evals/op, lml_evals/op) " +
-			"rises more than the tolerance, if the ALLoop refit/incremental or dense_n8192/sparse_n8192 " +
+			"rises more than the tolerance, if the ALLoop refit/incremental or dense_n2048/sparse_n2048 " +
 			"speedup drops below its floor, or if a benchmark's B/op exceeds its max_b_op ceiling. " +
 			"Other ns/op and allocation figures are informational only.",
 		MinSpeedup:       minSpeedup,
@@ -257,7 +258,7 @@ func main() {
 	update := flag.Bool("update", false, "record the bench output as the new baseline instead of comparing")
 	tol := flag.Float64("tol", 0.20, "allowed relative increase of guarded work-count metrics")
 	minSpeedup := flag.Float64("min-speedup", 3, "required BenchmarkALLoop refit/incremental ns-per-op ratio")
-	minSparse := flag.Float64("min-sparse-speedup", 10, "required BenchmarkALLoop dense_n8192/sparse_n8192 ns-per-op ratio")
+	minSparse := flag.Float64("min-sparse-speedup", 10, "required BenchmarkALLoop dense_n2048/sparse_n2048 ns-per-op ratio")
 	flag.Parse()
 
 	if flag.NArg() != 1 {

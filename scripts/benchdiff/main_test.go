@@ -141,7 +141,7 @@ func TestSpeedupFloors(t *testing.T) {
 		return out
 	}
 	const refit, incr = "BenchmarkALLoop/refit", "BenchmarkALLoop/incremental"
-	const dense, sparse = "BenchmarkALLoop/dense_n8192", "BenchmarkALLoop/sparse_n8192"
+	const dense, sparse = "BenchmarkALLoop/dense_n2048", "BenchmarkALLoop/sparse_n2048"
 	cases := []struct {
 		name    string
 		check   func(map[string]benchResult, float64) error
