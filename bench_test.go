@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/al"
 	"repro/internal/experiments"
 	"repro/internal/gp"
 	"repro/internal/hpgmg"
@@ -27,15 +28,16 @@ import (
 // ns/op, and a regression shows up as a count jump even when wall time
 // hides it on faster hardware.
 type obsCounters struct {
-	gpFits, cholesky, candEvals, lmlEvals int64
+	gpFits, cholesky, candEvals, lmlEvals, predictPoints int64
 }
 
 func sampleObs() obsCounters {
 	return obsCounters{
-		gpFits:    obs.C("gp.fit.count").Value(),
-		cholesky:  obs.C("mat.cholesky.count").Value(),
-		candEvals: obs.C("al.candidates.evaluated").Value(),
-		lmlEvals:  obs.C("gp.lml.evals").Value(),
+		gpFits:        obs.C("gp.fit.count").Value(),
+		cholesky:      obs.C("mat.cholesky.count").Value(),
+		candEvals:     obs.C("al.candidates.evaluated").Value(),
+		lmlEvals:      obs.C("gp.lml.evals").Value(),
+		predictPoints: obs.C("gp.predict.points").Value(),
 	}
 }
 
@@ -48,6 +50,7 @@ func reportObs(b *testing.B, before, after obsCounters) {
 	b.ReportMetric(float64(after.cholesky-before.cholesky)/n, "cholesky/op")
 	b.ReportMetric(float64(after.candEvals-before.candEvals)/n, "cand_evals/op")
 	b.ReportMetric(float64(after.lmlEvals-before.lmlEvals)/n, "lml_evals/op")
+	b.ReportMetric(float64(after.predictPoints-before.predictPoints)/n, "predict_points/op")
 }
 
 // Each benchmark regenerates one of the paper's artifacts end to end —
@@ -395,6 +398,86 @@ func BenchmarkGPPredictBatch(b *testing.B) {
 		benchPreds = model.PredictBatch(grid)
 	}
 	reportObs(b, before, sampleObs())
+}
+
+// BenchmarkSessionStepGrid measures one incremental step of a served
+// campaign on the full Performance grid in paper coordinates: Tell
+// answers the outstanding ask, then Next conditions the model on it
+// (RBF, n = 32 after the update, no hyperparameter refit), scores the
+// grid and selects. The grid's 3246 rows hold 990 distinct points, each
+// predicted once per step (predict_points/op). Each op starts from a
+// session restored from the same snapshot and stepped once, outside the
+// timed region, so every op conditions the same model and the session
+// has already indexed its grid. B/op is gated by scripts/benchdiff.
+func BenchmarkSessionStepGrid(b *testing.B) {
+	ds, err := GeneratePerformanceDataset(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]int, ds.Len())
+	for i := range rows {
+		rows[i] = i
+	}
+	grid, y := perfPaperCoords(ds, rows)
+	answer := make(map[[3]float64]float64, len(rows))
+	for i := range rows {
+		answer[[3]float64(grid.RawRow(i))] = y[i]
+	}
+	cfg := LoopConfig{
+		Response: RespRuntime, Strategy: VarianceReduction{}, Iterations: 100,
+		ReoptimizeEvery: 100, AllowRevisit: true,
+	}
+	// tell answers the session's outstanding ask.
+	tell := func(s *al.Session) {
+		x, err := s.Next()
+		if err != nil || x == nil {
+			b.Fatalf("Next = %v, %v", x, err)
+		}
+		s.Tell(answer[[3]float64(x)], 1, nil)
+	}
+	// Thirty seeds, then the first AL step refits at n = 30 and its
+	// answer is left pending in the snapshot.
+	s, err := al.NewSession(grid, rand.New(rand.NewSource(1)).Perm(len(rows))[:30], cfg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i <= 30; i++ {
+		tell(s)
+	}
+	ck, ok := s.Snapshot()
+	if !ok {
+		b.Fatal("no snapshot at the iteration boundary")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var work, zero obsCounters
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := al.RestoreSession(grid, cfg, ck)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tell(s) // n = 31, and the grid indexed
+		if _, err := s.Next(); err != nil {
+			b.Fatal(err)
+		}
+		before := sampleObs()
+		b.StartTimer()
+		tell(s)
+		x, err := s.Next()
+		b.StopTimer()
+		if err != nil || x == nil {
+			b.Fatalf("Next = %v, %v", x, err)
+		}
+		after := sampleObs()
+		work.gpFits += after.gpFits - before.gpFits
+		work.cholesky += after.cholesky - before.cholesky
+		work.candEvals += after.candEvals - before.candEvals
+		work.lmlEvals += after.lmlEvals - before.lmlEvals
+		work.predictPoints += after.predictPoints - before.predictPoints
+		b.StartTimer()
+	}
+	reportObs(b, zero, work)
 }
 
 // BenchmarkMultigridFMG measures the real HPGMG-FE stand-in across

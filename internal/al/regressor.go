@@ -20,6 +20,10 @@ import (
 //     only read and are safe for concurrent use; UpdateWithPoint
 //     returns a NEW Regressor and leaves the receiver untouched, so
 //     readers of the old snapshot are never disturbed.
+//   - Row i of PredictBatch depends only on the bits of row i and the
+//     model, and equals Predict of that row bit for bit: the scorer
+//     splits a pool over workers and scores each distinct point once
+//     on that guarantee.
 //   - UpdateWithPoint folds one observation in at fixed
 //     hyperparameters. Tiers may realize it with different cost
 //     (O(n²) bordered-Cholesky dense, O(n·m) rank-one sparse) but all

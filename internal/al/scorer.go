@@ -1,6 +1,8 @@
 package al
 
 import (
+	"encoding/binary"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,8 +14,12 @@ import (
 
 // Scorer metrics (see OBSERVABILITY.md): one al.score.parallel tick per
 // scoring pass that fanned out over workers, next to the serial passes
-// implied by al.candidates.evaluated.
-var scoreParallel = obs.C("al.score.parallel")
+// implied by al.candidates.evaluated; al.score.rows counts the distinct
+// points a session's scoring passes predicted.
+var (
+	scoreParallel = obs.C("al.score.parallel")
+	scoreRows     = obs.C("al.score.rows")
+)
 
 // minParallelScore is the pool size below which scoring stays serial:
 // goroutine startup dominates PredictBatch on tiny pools.
@@ -85,6 +91,37 @@ func scorePool(model Regressor, poolX *mat.Dense, workers int) []gp.Prediction {
 	}
 	wg.Wait()
 	return out
+}
+
+// pointIndex numbers the distinct points of a candidate grid, compared
+// by the bits of their coordinates: pointOf[r] is the point row r
+// holds and firstRow[k] the first row holding point k. The paper's
+// Performance grid repeats each configuration up to three times, so its
+// 3246 rows hold 990 points.
+type pointIndex struct {
+	pointOf  []int32
+	firstRow []int
+}
+
+// newPointIndex indexes the rows of c.
+func newPointIndex(c *mat.Dense) *pointIndex {
+	m := c.Rows()
+	idx := &pointIndex{pointOf: make([]int32, m)}
+	seen := make(map[string]int32, m)
+	key := make([]byte, 8*c.Cols())
+	for r := 0; r < m; r++ {
+		for j, v := range c.RawRow(r) {
+			binary.LittleEndian.PutUint64(key[8*j:], math.Float64bits(v))
+		}
+		k, ok := seen[string(key)]
+		if !ok {
+			k = int32(len(idx.firstRow))
+			seen[string(key)] = k
+			idx.firstRow = append(idx.firstRow, r)
+		}
+		idx.pointOf[r] = k
+	}
+	return idx
 }
 
 // ScoreBatch evaluates the model's predictive distribution at every row

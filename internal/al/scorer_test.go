@@ -1,6 +1,8 @@
 package al
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -208,5 +210,89 @@ func TestEMCMSerialParallelTracesIdentical(t *testing.T) {
 		if serial.Records[i] != parallel.Records[i] {
 			t.Fatalf("EMCM records diverge at step %d", i)
 		}
+	}
+}
+
+// TestPredictBatchRowPurity pins the Regressor contract the scorer
+// rests on: row i of PredictBatch depends only on the bits of row i and
+// the model. One point sits at every lane offset of a four-row block
+// and last in a ragged final block of one, two and three rows; every
+// copy must equal Predict at that point in Float64bits, on the dense,
+// sparse and auto tiers.
+func TestPredictBatchRowPurity(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 24
+	x := mat.New(n, 3)
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		r := x.RawRow(i)
+		for j := range r {
+			r[j] = 3 * rng.Float64()
+		}
+		y[i] = math.Sin(r[0]) + r[1]*r[2]
+	}
+	p := []float64{1.3, 0.7, 2.1}
+	filler := func() []float64 { return []float64{3 * rng.Float64(), 3 * rng.Float64(), 3 * rng.Float64()} }
+	for _, tier := range []struct {
+		name      string
+		cfg       LoopConfig
+		wantDense bool
+	}{
+		{"dense", LoopConfig{Model: ModelDense}, true},
+		{"sparse", LoopConfig{Model: ModelSparse, ModelOptions: ModelOptions{Inducing: 8}}, false},
+		{"auto", LoopConfig{Model: ModelAuto, ModelOptions: ModelOptions{Inducing: 8, Crossover: 4, ContestCap: 8}}, false},
+	} {
+		gcfg := gp.Config{Kernel: kernel.NewRBF(1, 1), NoiseInit: 0.1, Optimize: true, Restarts: 1}
+		model, _, err := newModelFitter(tier.cfg).refit(context.Background(), gcfg, x, y, nil, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatalf("%s: %v", tier.name, err)
+		}
+		if _, dense := UnwrapGP(model); dense != tier.wantDense {
+			t.Fatalf("%s: resolved dense = %v, want %v", tier.name, dense, tier.wantDense)
+		}
+		want := model.Predict(p)
+		for tail := 1; tail <= 3; tail++ {
+			var rows [][]float64
+			for lane := 0; lane < 4; lane++ {
+				for r := 0; r < 4; r++ {
+					if r == lane {
+						rows = append(rows, p)
+					} else {
+						rows = append(rows, filler())
+					}
+				}
+			}
+			for r := 1; r < tail; r++ {
+				rows = append(rows, filler())
+			}
+			rows = append(rows, p)
+			preds := model.PredictBatch(mat.NewFromRows(rows))
+			for i, row := range rows {
+				if &row[0] != &p[0] {
+					continue
+				}
+				got := preds[i]
+				if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) || math.Float64bits(got.SD) != math.Float64bits(want.SD) {
+					t.Fatalf("%s, batch of %d: row %d = %+v, Predict = %+v", tier.name, len(rows), i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPointIndex: rows holding the same bits share a point, numbered
+// from its first row; +0 and -0 differ in their bits and stay apart.
+func TestPointIndex(t *testing.T) {
+	g := mat.NewFromRows([][]float64{{1, 2}, {0, 0}, {1, 2}, {math.Copysign(0, -1), 0}, {0, 0}, {2, 1}})
+	idx := newPointIndex(g)
+	wantOf := []int32{0, 1, 0, 2, 1, 3}
+	wantFirst := []int{0, 1, 3, 5}
+	for r, k := range idx.pointOf {
+		if k != wantOf[r] {
+			t.Fatalf("pointOf = %v, want %v", idx.pointOf, wantOf)
+		}
+	}
+	if fmt.Sprint(idx.firstRow) != fmt.Sprint(wantFirst) {
+		t.Fatalf("firstRow = %v, want %v", idx.firstRow, wantFirst)
 	}
 }

@@ -68,6 +68,10 @@ type Session struct {
 	rng    *rand.Rand
 	cs     *countingSource // position of a session-owned RNG, for checkpoints
 	fitter modelFitter
+	// points indexes the distinct points of candidates, built by the
+	// first scoring pass; the candidates determine it, so checkpoints
+	// leave it out.
+	points *pointIndex
 
 	// testX/testY is the held-out set behind each record's RMSE and
 	// Coverage (both NaN without one).
@@ -316,20 +320,10 @@ func (s *Session) iterate() error {
 	}
 
 	_, scoreSpan := obs.Start(iterCtx, "al.score")
-	poolX := s.candidates
-	if s.pool != nil {
-		poolX = gatherRows(s.candidates, s.pool)
-	}
-	preds := scorePool(s.model, poolX, resolveScoreWorkers(c.ScoreWorkers))
-	cands := make([]Candidate, len(preds))
+	cands := s.score(resolveScoreWorkers(c.ScoreWorkers))
 	var amsd float64
-	for i := range cands {
-		row := i
-		if s.pool != nil {
-			row = s.pool[i]
-		}
-		cands[i] = Candidate{Row: row, X: poolX.RawRow(i), Pred: preds[i]}
-		amsd += preds[i].SD
+	for _, cd := range cands {
+		amsd += cd.Pred.SD
 	}
 	amsd /= float64(len(cands))
 	scoreSpan.End()
@@ -349,6 +343,46 @@ func (s *Session) iterate() error {
 	s.pred = cands[sel].Pred
 	s.amsd = amsd
 	return nil
+}
+
+// score predicts every open row — the whole grid, or a dataset
+// session's pool — in pool order. Each distinct open point is scored
+// once, through scorePool with the given workers, and its prediction
+// copied to every row holding it. That is bit-identical to scoring
+// every row, because a row's prediction depends only on its bits and
+// the model (see Regressor).
+func (s *Session) score(workers int) []Candidate {
+	if s.points == nil {
+		s.points = newPointIndex(s.candidates)
+	}
+	n := len(s.pool)
+	if s.pool == nil {
+		n = s.candidates.Rows()
+	}
+	openRow := func(i int) int {
+		if s.pool == nil {
+			return i
+		}
+		return s.pool[i]
+	}
+	// slot[k] is 1 + the position of point k among the distinct open
+	// points, 0 while point k is not yet open.
+	slot := make([]int32, len(s.points.firstRow))
+	first := make([]int, 0, len(s.points.firstRow))
+	for i := 0; i < n; i++ {
+		if k := s.points.pointOf[openRow(i)]; slot[k] == 0 {
+			first = append(first, s.points.firstRow[k])
+			slot[k] = int32(len(first))
+		}
+	}
+	scoreRows.Add(int64(len(first)))
+	preds := scorePool(s.model, gatherRows(s.candidates, first), workers)
+	cands := make([]Candidate, n)
+	for i := range cands {
+		row := openRow(i)
+		cands[i] = Candidate{Row: row, X: s.candidates.RawRow(row), Pred: preds[slot[s.points.pointOf[row]]-1]}
+	}
+	return cands
 }
 
 // refit fits the full training set through the configured tier's

@@ -1,7 +1,8 @@
 // Command benchdiff is the CI benchmark-regression guard. It parses
 // `go test -bench` output, extracts the deterministic work-count metrics
 // emitted by reportObs (gp_fits/op, cholesky/op, cand_evals/op,
-// lml_evals/op), and compares them against a checked-in baseline JSON.
+// lml_evals/op, predict_points/op), and compares them against a
+// checked-in baseline JSON.
 //
 // Timing (ns/op) is far too noisy to gate CI on shared runners, but the
 // amount of linear-algebra work a benchmark performs per op is exactly
@@ -28,7 +29,7 @@
 //
 // Usage:
 //
-//	go test -run='^$' -bench 'BenchmarkALIteration|BenchmarkALLoop|BenchmarkGPHyperopt|BenchmarkGPPredictBatch' -benchtime=1x . > bench.txt
+//	go test -run='^$' -bench 'BenchmarkALIteration|BenchmarkALLoop|BenchmarkGPHyperopt|BenchmarkGPPredictBatch|BenchmarkSessionStepGrid' -benchtime=1x . > bench.txt
 //	go run ./scripts/benchdiff -baseline BENCH_baseline.json bench.txt   # compare
 //	go run ./scripts/benchdiff -baseline BENCH_baseline.json -update bench.txt  # record
 package main
@@ -49,7 +50,7 @@ import (
 // guardedMetrics are the work-count metrics gated against the baseline.
 // They are deterministic per benchmark op, so any tolerance here is
 // headroom for intentional small changes, not measurement noise.
-var guardedMetrics = []string{"gp_fits/op", "cholesky/op", "cand_evals/op", "lml_evals/op"}
+var guardedMetrics = []string{"gp_fits/op", "cholesky/op", "cand_evals/op", "lml_evals/op", "predict_points/op"}
 
 // defaultMaxBOp holds the B/op ceilings -update records:
 //   - BenchmarkALLoop/incremental: 60% of the 2,152,336 B/op recorded
@@ -59,12 +60,15 @@ var guardedMetrics = []string{"gp_fits/op", "cholesky/op", "cand_evals/op", "lml
 //   - BenchmarkGPHyperopt: 15% of the 3,306,258 B/op recorded before the
 //     LML evaluations of a fit shared one workspace;
 //   - BenchmarkGPPredictBatch: 15% of the 893,245 B/op recorded while
-//     PredictBatch built the full m×n cross-covariance.
+//     PredictBatch built the full m×n cross-covariance;
+//   - BenchmarkSessionStepGrid: the 288,286 B/op recorded while a step
+//     predicted every row of the grid, repeats included.
 var defaultMaxBOp = map[string]float64{
 	"BenchmarkALLoop/incremental": 1291402,
 	"BenchmarkALLoop/refit":       3713002,
 	"BenchmarkGPHyperopt":         495938,
 	"BenchmarkGPPredictBatch":     133987,
+	"BenchmarkSessionStepGrid":    288286,
 }
 
 // benchResult holds every `value unit` metric pair reported on one
@@ -237,7 +241,7 @@ func compare(base *baselineFile, results map[string]benchResult, tol float64) []
 func writeBaseline(path string, results map[string]benchResult, minSpeedup, minSparse float64) error {
 	base := baselineFile{
 		Note: "Deterministic work counts per benchmark op, recorded by scripts/benchdiff -update. " +
-			"CI fails if a guarded metric (gp_fits/op, cholesky/op, cand_evals/op, lml_evals/op) " +
+			"CI fails if a guarded metric (" + strings.Join(guardedMetrics, ", ") + ") " +
 			"rises more than the tolerance, if the ALLoop refit/incremental or dense_n2048/sparse_n2048 " +
 			"speedup drops below its floor, or if a benchmark's B/op exceeds its max_b_op ceiling. " +
 			"Other ns/op and allocation figures are informational only.",

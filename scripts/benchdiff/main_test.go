@@ -14,7 +14,7 @@ import (
 const benchOutput = `goos: linux
 goarch: amd64
 pkg: repro
-BenchmarkALIteration-8         	       1	    245637 ns/op	        79.00 cand_evals/op	        20.00 cholesky/op	         1.000 gp_fits/op	        19.00 lml_evals/op	   31096 B/op	     239 allocs/op
+BenchmarkALIteration-8         	       1	    245637 ns/op	        79.00 cand_evals/op	        20.00 cholesky/op	         1.000 gp_fits/op	        19.00 lml_evals/op	       110.0 predict_points/op	   31096 B/op	     239 allocs/op
 BenchmarkALLoop/refit-8        	       1	  24551963 ns/op	         1.000 cholesky/op	   5304368 B/op
 BenchmarkALLoop/incremental-8  	       1	    659650 ns/op	         0 cholesky/op	   1086576 B/op
 BenchmarkGPHyperopt            	       1	   2531114 ns/op	        49.00 lml_evals/op	     80864 B/op
@@ -48,7 +48,7 @@ func TestParseBenchOutput(t *testing.T) {
 				it := got["BenchmarkALIteration"]
 				for unit, want := range map[string]float64{
 					"ns/op": 245637, "cand_evals/op": 79, "cholesky/op": 20,
-					"gp_fits/op": 1, "lml_evals/op": 19, "B/op": 31096, "allocs/op": 239,
+					"gp_fits/op": 1, "lml_evals/op": 19, "predict_points/op": 110, "B/op": 31096, "allocs/op": 239,
 				} {
 					if it[unit] != want {
 						t.Errorf("BenchmarkALIteration %s = %v, want %v", unit, it[unit], want)
@@ -129,6 +129,25 @@ func TestCompareTolerance(t *testing.T) {
 				t.Fatalf("failures = %v, want one mentioning %q", failures, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestComparePredictPoints: a step that goes back to predicting every
+// row of a grid with repeated points fails the predict_points/op guard.
+func TestComparePredictPoints(t *testing.T) {
+	base := &baselineFile{Benchmarks: map[string]benchResult{
+		"BenchmarkSessionStepGrid": {"cand_evals/op": 3246, "predict_points/op": 990},
+	}}
+	if f := compare(base, map[string]benchResult{
+		"BenchmarkSessionStepGrid": {"cand_evals/op": 3246, "predict_points/op": 990},
+	}, 0.20); len(f) != 0 {
+		t.Fatalf("unexpected failures: %v", f)
+	}
+	f := compare(base, map[string]benchResult{
+		"BenchmarkSessionStepGrid": {"cand_evals/op": 3246, "predict_points/op": 3246},
+	}, 0.20)
+	if len(f) != 1 || !strings.Contains(f[0], "predict_points/op regressed") {
+		t.Fatalf("failures = %v, want one predict_points/op regression", f)
 	}
 }
 
