@@ -400,6 +400,79 @@ func BenchmarkGPPredictBatch(b *testing.B) {
 	reportObs(b, before, sampleObs())
 }
 
+// BenchmarkGPScoreIncremental measures the scoring half of an
+// incremental step on the Performance grid in paper coordinates: the
+// model BenchmarkGPHyperopt fits on its first 31 rows takes one
+// bordered UpdateWithPoint (n = 32), then predicts the grid's 990
+// distinct points, serially. "cached" predicts from a gp.KStar filled
+// at n = 31 outside the timed region, so each op evaluates one new
+// column; "predict_batch" predicts through PredictBatch. B/op is gated
+// by scripts/benchdiff.
+func BenchmarkGPScoreIncremental(b *testing.B) {
+	ds, x, y := hyperoptFixture(b)
+	const n = 32
+	lead := mat.New(n-1, x.Cols())
+	for i := 0; i < n-1; i++ {
+		copy(lead.RawRow(i), x.RawRow(i))
+	}
+	model, err := gp.Fit(hyperoptConfig(), lead, y[:n-1], rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([]int, ds.Len())
+	for i := range all {
+		all[i] = i
+	}
+	grid, _ := perfPaperCoords(ds, all)
+	seen := make(map[[3]float64]bool, grid.Rows())
+	var distinct []int
+	for i := 0; i < grid.Rows(); i++ {
+		if k := [3]float64(grid.RawRow(i)); !seen[k] {
+			seen[k] = true
+			distinct = append(distinct, i)
+		}
+	}
+	points := mat.New(len(distinct), grid.Cols())
+	pts := make([]int32, len(distinct))
+	for i, r := range distinct {
+		copy(points.RawRow(i), grid.RawRow(r))
+		pts[i] = int32(i)
+	}
+	serial := func(n int, fn func(lo, hi int)) { fn(0, n) }
+	update := func() *gp.GP {
+		g, err := model.UpdateWithPoint(x.RawRow(n-1), y[n-1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
+		var work, zero obsCounters
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cache := gp.NewKStar(grid, distinct)
+			cache.Predict(model, pts, serial)
+			before := sampleObs()
+			b.StartTimer()
+			benchPreds = cache.Predict(update(), pts, serial)
+			b.StopTimer()
+			after := sampleObs()
+			work.predictPoints += after.predictPoints - before.predictPoints
+			b.StartTimer()
+		}
+		reportObs(b, zero, work)
+	})
+	b.Run("predict_batch", func(b *testing.B) {
+		b.ReportAllocs()
+		before := sampleObs()
+		for i := 0; i < b.N; i++ {
+			benchPreds = update().PredictBatch(points)
+		}
+		reportObs(b, before, sampleObs())
+	})
+}
+
 // BenchmarkSessionStepGrid measures one incremental step of a served
 // campaign on the full Performance grid in paper coordinates: Tell
 // answers the outstanding ask, then Next conditions the model on it

@@ -72,21 +72,24 @@ func TestLoopEmitsIterationSpans(t *testing.T) {
 // TestScoreRowsCountsDistinctPoints: on a grid that holds each of 25
 // points three times, every scoring pass shows the strategy all 75 rows
 // (al.candidates.evaluated) but predicts each point once (al.score.rows,
-// and gp.predict.points for the dense tier).
+// and gp.predict.points on the dense and the sparse tier alike).
 func TestScoreRowsCountsDistinctPoints(t *testing.T) {
-	obs.Default.Reset()
 	const iters = 4
-	cfg := quickLoop(VarianceReduction{}, iters)
-	if _, err := RunOnline(repeatGrid1D(), []int{0, 74}, plainOracle(), cfg, rand.New(rand.NewSource(41))); err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range map[string]int64{
-		"al.candidates.evaluated": 75 * iters,
-		"al.score.rows":           25 * iters,
-		"gp.predict.points":       25 * iters,
-	} {
-		if got := obs.C(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+	for _, tier := range []string{ModelDense, ModelSparse} {
+		obs.Default.Reset()
+		cfg := quickLoop(VarianceReduction{}, iters)
+		cfg.Model = tier
+		if _, err := RunOnline(repeatGrid1D(), []int{0, 74}, plainOracle(), cfg, rand.New(rand.NewSource(41))); err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range map[string]int64{
+			"al.candidates.evaluated": 75 * iters,
+			"al.score.rows":           25 * iters,
+			"gp.predict.points":       25 * iters,
+		} {
+			if got := obs.C(name).Value(); got != want {
+				t.Errorf("%s tier: %s = %d, want %d", tier, name, got, want)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package al
 
 import (
-	"encoding/binary"
 	"math"
 	"runtime"
 	"sync"
@@ -15,10 +14,14 @@ import (
 // Scorer metrics (see OBSERVABILITY.md): one al.score.parallel tick per
 // scoring pass that fanned out over workers, next to the serial passes
 // implied by al.candidates.evaluated; al.score.rows counts the distinct
-// points a session's scoring passes predicted.
+// points a session's scoring passes predicted, al.score.cached the
+// passes served from a session's K* cache and al.score.cache_builds the
+// passes that built one.
 var (
-	scoreParallel = obs.C("al.score.parallel")
-	scoreRows     = obs.C("al.score.rows")
+	scoreParallel    = obs.C("al.score.parallel")
+	scoreRows        = obs.C("al.score.rows")
+	scoreCached      = obs.C("al.score.cached")
+	scoreCacheBuilds = obs.C("al.score.cache_builds")
 )
 
 // minParallelScore is the pool size below which scoring stays serial:
@@ -103,25 +106,61 @@ type pointIndex struct {
 	firstRow []int
 }
 
-// newPointIndex indexes the rows of c.
+// newPointIndex indexes the rows of c. It allocates no key per point:
+// an open-addressing table of point numbers, probed from a hash of a
+// row's coordinate bits, finds the candidates, and a bit-for-bit row
+// compare settles a hash collision, so +0 and −0 stay apart.
 func newPointIndex(c *mat.Dense) *pointIndex {
 	m := c.Rows()
 	idx := &pointIndex{pointOf: make([]int32, m)}
-	seen := make(map[string]int32, m)
-	key := make([]byte, 8*c.Cols())
-	for r := 0; r < m; r++ {
-		for j, v := range c.RawRow(r) {
-			binary.LittleEndian.PutUint64(key[8*j:], math.Float64bits(v))
-		}
-		k, ok := seen[string(key)]
-		if !ok {
-			k = int32(len(idx.firstRow))
-			seen[string(key)] = k
-			idx.firstRow = append(idx.firstRow, r)
-		}
-		idx.pointOf[r] = k
+	size := 1
+	for size < 2*m {
+		size <<= 1
 	}
+	table := make([]int32, size) // 1 + point number, 0 for an empty slot
+	first := make([]int, 0, m)
+	for r := 0; r < m; r++ {
+		row := c.RawRow(r)
+		i := hashBits(row) & uint64(size-1)
+		for ; table[i] != 0; i = (i + 1) & uint64(size-1) {
+			if sameBits(c.RawRow(first[table[i]-1]), row) {
+				break
+			}
+		}
+		if table[i] == 0 {
+			first = append(first, r)
+			table[i] = int32(len(first))
+		}
+		idx.pointOf[r] = table[i] - 1
+	}
+	idx.firstRow = append([]int(nil), first...)
 	return idx
+}
+
+// hashBits mixes the bits of a row's coordinates (splitmix64's
+// finalizer after each word), so that rows differing only in their low
+// mantissa bits still spread over the table.
+func hashBits(row []float64) uint64 {
+	var h uint64
+	for _, v := range row {
+		h ^= math.Float64bits(v)
+		h ^= h >> 30
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+		h *= 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	return h
+}
+
+// sameBits reports whether two rows hold the same coordinate bits.
+func sameBits(a, b []float64) bool {
+	for j, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ScoreBatch evaluates the model's predictive distribution at every row

@@ -296,3 +296,22 @@ func TestPointIndex(t *testing.T) {
 		t.Fatalf("firstRow = %v, want %v", idx.firstRow, wantFirst)
 	}
 }
+
+// TestPointIndexAllocs bounds the allocations of indexing a grid the
+// size of the Performance grid, 3246 rows holding 990 points: a
+// constant number, none per point.
+func TestPointIndexAllocs(t *testing.T) {
+	g := mat.New(3246, 3)
+	for r := 0; r < g.Rows(); r++ {
+		p := r % 990
+		g.Set(r, 0, math.Log10(float64(1+p%11)))
+		g.Set(r, 1, float64(p/11%9))
+		g.Set(r, 2, 1.2+0.1*float64(p/99))
+	}
+	if got := len(newPointIndex(g).firstRow); got != 990 {
+		t.Fatalf("indexed %d points, want 990", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { newPointIndex(g) }); allocs > 5 {
+		t.Fatalf("newPointIndex allocated %v times, want at most 5", allocs)
+	}
+}

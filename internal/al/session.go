@@ -72,6 +72,11 @@ type Session struct {
 	// first scoring pass; the candidates determine it, so checkpoints
 	// leave it out.
 	points *pointIndex
+	// kstar caches k(p, x_j) for every distinct point p of the grid
+	// and training row j of a dense model's lineage, so a pass after a
+	// bordered update evaluates one new column (see predict). Memory
+	// only: checkpoints, snapshots and journals leave it out.
+	kstar *gp.KStar
 
 	// testX/testY is the held-out set behind each record's RMSE and
 	// Coverage (both NaN without one).
@@ -183,6 +188,9 @@ func (s *Session) Next() ([]float64, error) {
 		if s.err = s.advance(); s.err != nil {
 			s.done = true
 		}
+	}
+	if s.done {
+		s.kstar = nil // an ended session scores no more
 	}
 	return s.x, s.err
 }
@@ -346,11 +354,10 @@ func (s *Session) iterate() error {
 }
 
 // score predicts every open row — the whole grid, or a dataset
-// session's pool — in pool order. Each distinct open point is scored
-// once, through scorePool with the given workers, and its prediction
-// copied to every row holding it. That is bit-identical to scoring
-// every row, because a row's prediction depends only on its bits and
-// the model (see Regressor).
+// session's pool — in pool order. Each distinct open point is predicted
+// once, by predict, and its prediction copied to every row holding it.
+// That is bit-identical to scoring every row, because a row's
+// prediction depends only on its bits and the model (see Regressor).
 func (s *Session) score(workers int) []Candidate {
 	if s.points == nil {
 		s.points = newPointIndex(s.candidates)
@@ -366,23 +373,60 @@ func (s *Session) score(workers int) []Candidate {
 		return s.pool[i]
 	}
 	// slot[k] is 1 + the position of point k among the distinct open
-	// points, 0 while point k is not yet open.
+	// points pts, 0 while point k is not yet open.
 	slot := make([]int32, len(s.points.firstRow))
-	first := make([]int, 0, len(s.points.firstRow))
+	pts := make([]int32, 0, len(s.points.firstRow))
 	for i := 0; i < n; i++ {
 		if k := s.points.pointOf[openRow(i)]; slot[k] == 0 {
-			first = append(first, s.points.firstRow[k])
-			slot[k] = int32(len(first))
+			pts = append(pts, k)
+			slot[k] = int32(len(pts))
 		}
 	}
-	scoreRows.Add(int64(len(first)))
-	preds := scorePool(s.model, gatherRows(s.candidates, first), workers)
+	scoreRows.Add(int64(len(pts)))
+	preds := s.predict(pts, workers)
 	cands := make([]Candidate, n)
 	for i := range cands {
 		row := openRow(i)
 		cands[i] = Candidate{Row: row, X: s.candidates.RawRow(row), Pred: preds[slot[s.points.pointOf[row]]-1]}
 	}
 	return cands
+}
+
+// predict predicts the distinct points pts of the grid, bit-identical
+// to scorePool over their rows with the given workers. A dense model
+// (or an auto model resolved dense) is predicted from the session's
+// K* cache when the cache covers it, and a pass builds a new cache when
+// the next model update is scheduled to be incremental: then iterations
+// remain and this one is not a multiple of ReoptimizeEvery. The cache
+// is kept only for such an update; every other pass drops it, and one
+// the cache cannot serve goes through scorePool. The cache covers every
+// distinct point of the grid, indexed like s.points, and is split over
+// the workers as scorePool splits its rows.
+func (s *Session) predict(pts []int32, workers int) []gp.Prediction {
+	keep := s.iter%s.c.ReoptimizeEvery != 0 && s.iter < s.c.Iterations
+	g, dense := UnwrapGP(s.model)
+	switch {
+	case dense && s.kstar != nil && s.kstar.Covers(g):
+		scoreCached.Inc()
+	case dense && keep:
+		scoreCacheBuilds.Inc()
+		s.kstar = gp.NewKStar(s.candidates, s.points.firstRow)
+	default:
+		s.kstar = nil
+		rows := make([]int, len(pts))
+		for i, k := range pts {
+			rows[i] = s.points.firstRow[k]
+		}
+		return scorePool(s.model, gatherRows(s.candidates, rows), workers)
+	}
+	if workers >= 2 && len(pts) >= minParallelScore {
+		scoreParallel.Inc()
+	}
+	preds := s.kstar.Predict(g, pts, func(n int, fn func(lo, hi int)) { parChunks(n, workers, fn) })
+	if !keep {
+		s.kstar = nil
+	}
+	return preds
 }
 
 // refit fits the full training set through the configured tier's

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/kernel"
 	"repro/internal/mat"
@@ -121,7 +122,17 @@ type GP struct {
 	alpha  mat.Vec       // Ky⁻¹ y
 	lml    float64       // log marginal likelihood at the fitted hypers
 	jitter float64       // jitter actually added to make Ky PD
+
+	// lineage names the factorization this model descends from: every
+	// factorization draws a new one, and only the bordered path of
+	// UpdateWithPoint inherits it. Models of one lineage share kernel
+	// hyperparameters and training rows up to the shorter, which is
+	// what lets a KStar cache keep its columns across updates.
+	lineage uint64
 }
+
+// lineages hands out lineage tokens; a token is never reused.
+var lineages atomic.Uint64
 
 // ErrNoData is returned when Fit is called without observations.
 var ErrNoData = errors.New("gp: no training data")
@@ -276,6 +287,7 @@ func (g *GP) factorize() error {
 	}
 	g.chol = ch
 	g.jitter = jit
+	g.lineage = lineages.Add(1)
 	g.alpha = ch.SolveVec(g.y)
 	g.lml = -0.5*mat.Dot(g.y, g.alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
 	return nil

@@ -48,12 +48,11 @@ func (g *GP) Predict(x []float64) Prediction {
 //
 // It streams the rows in blocks of four and never builds the m×n
 // cross-covariance: each block's k* vectors go into one 4n scratch,
-// interleaved (element j of lane r at 4j+r), and one ForwardSubst4Into
-// pass solves all four L⁻¹k* in place. A block short of four rows
-// zero-pads its unused lanes. Per lane, the kernel calls, the running
-// sums μ = Σ k_j α_j and vᵀv (ascending j) and the solve perform exactly
-// the operations of Predict, so every row's result is bit-identical to
-// the single-point formula.
+// interleaved (element j of lane r at 4j+r), which predictBlock
+// finishes. Per lane, the kernel calls, the running sums μ = Σ k_j α_j
+// and vᵀv (ascending j) and the solve perform exactly the operations
+// of Predict, so every row's result is bit-identical to the
+// single-point formula.
 func (g *GP) PredictBatch(xs *mat.Dense) []Prediction {
 	if xs.Cols() != g.x.Cols() {
 		panic(fmt.Sprintf("gp: PredictBatch dim %d, model trained on %d", xs.Cols(), g.x.Cols()))
@@ -64,44 +63,58 @@ func (g *GP) PredictBatch(xs *mat.Dense) []Prediction {
 	out := make([]Prediction, m)
 	ks := make([]float64, 4*n)
 	for base := 0; base < m; base += 4 {
-		var mu, vv [4]float64
-		for r := 0; r < 4; r++ {
-			if base+r >= m {
-				for j := 0; j < n; j++ {
-					ks[4*j+r] = 0
-				}
-				continue
-			}
+		live := min(4, m-base)
+		var kss [4]float64
+		for r := 0; r < live; r++ {
 			xi := xs.RawRow(base + r)
-			var s float64
-			for j, a := range g.alpha {
-				k := g.kern.Eval(xi, g.x.RawRow(j))
-				ks[4*j+r] = k
-				s += k * a
+			for j := 0; j < n; j++ {
+				ks[4*j+r] = g.kern.Eval(xi, g.x.RawRow(j))
 			}
-			mu[r] = s
+			kss[r] = g.kern.Eval(xi, xi)
 		}
-		g.chol.ForwardSubst4Into(ks, ks)
-		for j := 0; j < n; j++ {
-			v := (*[4]float64)(ks[4*j:])
-			vv[0] += v[0] * v[0]
-			vv[1] += v[1] * v[1]
-			vv[2] += v[2] * v[2]
-			vv[3] += v[3] * v[3]
-		}
-		for r := 0; r < 4 && base+r < m; r++ {
-			xi := xs.RawRow(base + r)
-			variance := g.kern.Eval(xi, xi) - vv[r]
-			if variance < 0 {
-				variance = 0
-			}
-			out[base+r] = Prediction{
-				Mean: g.yMean + g.yStd*mu[r],
-				SD:   g.yStd * math.Sqrt(variance),
-			}
-		}
+		g.predictBlock(out[base:base+live], ks, &kss)
 	}
 	return out
+}
+
+// predictBlock finishes a block of up to four predictions, one per
+// element of out: lane r of ks (element j at 4j+r) holds k* of point r
+// and kss[r] its prior variance k(x, x). It zeroes the lanes past
+// len(out), accumulates μ = Σ k_j α_j, solves all four L⁻¹k* in place
+// with one ForwardSubst4Into pass and sums vᵀv, each in ascending j,
+// so a lane's result depends only on its own k* and k(x, x).
+func (g *GP) predictBlock(out []Prediction, ks []float64, kss *[4]float64) {
+	for r := len(out); r < 4; r++ {
+		for j := range g.alpha {
+			ks[4*j+r] = 0
+		}
+	}
+	var mu, vv [4]float64
+	for j, a := range g.alpha {
+		k := (*[4]float64)(ks[4*j:])
+		mu[0] += k[0] * a
+		mu[1] += k[1] * a
+		mu[2] += k[2] * a
+		mu[3] += k[3] * a
+	}
+	g.chol.ForwardSubst4Into(ks, ks)
+	for j := range g.alpha {
+		v := (*[4]float64)(ks[4*j:])
+		vv[0] += v[0] * v[0]
+		vv[1] += v[1] * v[1]
+		vv[2] += v[2] * v[2]
+		vv[3] += v[3] * v[3]
+	}
+	for r := range out {
+		variance := kss[r] - vv[r]
+		if variance < 0 {
+			variance = 0
+		}
+		out[r] = Prediction{
+			Mean: g.yMean + g.yStd*mu[r],
+			SD:   g.yStd * math.Sqrt(variance),
+		}
+	}
 }
 
 // Means extracts the mean of each prediction.

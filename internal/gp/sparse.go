@@ -532,6 +532,8 @@ func (s *SparseGP) Predict(x []float64) Prediction {
 
 // PredictBatch evaluates the sparse posterior at every row of xs.
 func (s *SparseGP) PredictBatch(xs *mat.Dense) []Prediction {
+	predictBatches.Inc()
+	predictPoints.Add(int64(xs.Rows()))
 	out := make([]Prediction, xs.Rows())
 	for i := range out {
 		out[i] = s.Predict(xs.RawRow(i))

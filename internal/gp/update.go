@@ -61,6 +61,9 @@ func (g *GP) UpdateWithPoint(x []float64, y float64) (*GP, error) {
 		yStd:   g.yStd,
 		logSN:  g.logSN,
 		jitter: g.jitter,
+		// Inherited by the bordered path only: the fallback
+		// factorize below draws a new lineage.
+		lineage: g.lineage,
 	}
 
 	ext, err := g.chol.Extended(border, diag)

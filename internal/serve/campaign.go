@@ -81,7 +81,11 @@ type campaignState struct {
 // goroutine that owns all campaign state. All exported methods are safe
 // for concurrent use from any goroutine.
 type Campaign struct {
-	ID   string
+	ID string
+	// Spec is the spec the campaign was created from, less its
+	// Candidates: newCampaign drops the decoded grid once it has built
+	// the candidate matrix, so a live campaign does not hold the grid
+	// twice. The journal header, written before, keeps the full spec.
 	Spec CampaignSpec
 
 	// jw is the append-only journal (nil disables persistence) — the
@@ -138,6 +142,7 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 	case "client":
 		c.cands = mat.NewFromRows(spec.Candidates)
 		c.response = "y"
+		c.Spec.Candidates = nil
 	case "dataset":
 		ds, response, err := lookupDataset(*spec.Dataset)
 		if err != nil {

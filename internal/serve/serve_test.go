@@ -279,6 +279,9 @@ func TestResumeContinuesByteIdentically(t *testing.T) {
 		t.Fatalf("create: %v", err)
 	}
 	id := c1.ID
+	if c1.Spec.Candidates != nil {
+		t.Fatal("a live campaign kept its spec's candidate grid")
+	}
 	xs := driveCampaign(t, c1, 4)
 	if err := mgr1.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -297,6 +300,11 @@ func TestResumeContinuesByteIdentically(t *testing.T) {
 	c2, err := mgr2.Get(id)
 	if err != nil {
 		t.Fatalf("get resumed: %v", err)
+	}
+	// The grid comes back from the journal header, not from the live
+	// campaign, which dropped it.
+	if c2.Spec.Candidates != nil {
+		t.Fatal("a resumed campaign kept its spec's candidate grid")
 	}
 	xs = append(xs, driveCampaign(t, c2, 0)...)
 	st := waitTerminal(t, c2)

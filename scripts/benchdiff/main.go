@@ -62,13 +62,18 @@ var guardedMetrics = []string{"gp_fits/op", "cholesky/op", "cand_evals/op", "lml
 //   - BenchmarkGPPredictBatch: 15% of the 893,245 B/op recorded while
 //     PredictBatch built the full m×n cross-covariance;
 //   - BenchmarkSessionStepGrid: the 288,286 B/op recorded while a step
-//     predicted every row of the grid, repeats included.
+//     predicted every row of the grid, repeats included;
+//   - BenchmarkGPScoreIncremental/cached: about 1.2× the 33,136 B/op
+//     recorded when the K* cache landed (the bordered update, one new
+//     7,920 B column, the predictions and a 4n scratch), far below the
+//     253,440 B a pass that re-evaluated all 32 columns would allocate.
 var defaultMaxBOp = map[string]float64{
-	"BenchmarkALLoop/incremental": 1291402,
-	"BenchmarkALLoop/refit":       3713002,
-	"BenchmarkGPHyperopt":         495938,
-	"BenchmarkGPPredictBatch":     133987,
-	"BenchmarkSessionStepGrid":    288286,
+	"BenchmarkALLoop/incremental":        1291402,
+	"BenchmarkALLoop/refit":              3713002,
+	"BenchmarkGPHyperopt":                495938,
+	"BenchmarkGPPredictBatch":            133987,
+	"BenchmarkSessionStepGrid":           288286,
+	"BenchmarkGPScoreIncremental/cached": 40000,
 }
 
 // benchResult holds every `value unit` metric pair reported on one
