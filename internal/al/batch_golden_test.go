@@ -28,22 +28,43 @@ type batchGoldenCase struct {
 	want     []batchGoldenRound
 }
 
-// batchGoldenRun runs one batch-mode realization and reports its rounds.
+// batchGoldenRun runs one batch-mode realization and reports its
+// iterations as rounds.
 func batchGoldenRun(t *testing.T, ds *dataset.Dataset, part dataset.Partition, gc batchGoldenCase) []batchGoldenRound {
 	t.Helper()
-	res, err := RunParallel(ds, part, ParallelConfig{Loop: gc.cfg, BatchSize: gc.batch, Rounds: gc.rounds},
-		rand.New(rand.NewSource(61)))
+	cfg := gc.cfg
+	cfg.BatchSize, cfg.Iterations = gc.batch, gc.rounds
+	res, err := Run(ds, part, cfg, rand.New(rand.NewSource(61)))
 	if err != nil {
 		t.Fatalf("%s: %v", gc.name, err)
 	}
+	return batchRounds(ds, res.Records)
+}
+
+// batchRounds groups a batch-mode run's records by iteration. The picks
+// of an iteration share its AMSD and RMSE, and its wall clock is its
+// most expensive pick, as if the picks ran in parallel.
+func batchRounds(ds *dataset.Dataset, recs []IterationRecord) []batchGoldenRound {
 	bits := math.Float64bits
-	var got []batchGoldenRound
-	for _, r := range res.Rounds {
-		got = append(got, batchGoldenRound{r.Rows, r.Train, [4]uint64{
-			bits(r.AMSD), bits(r.RMSE), bits(r.CumCost), bits(r.WallClock),
-		}})
+	var rounds []batchGoldenRound
+	var roundMax []float64
+	for i, r := range recs {
+		if i == 0 || r.Iter != recs[i-1].Iter {
+			rounds = append(rounds, batchGoldenRound{})
+			roundMax = append(roundMax, 0)
+		}
+		k := len(rounds) - 1
+		rounds[k].rows = append(rounds[k].rows, r.Row)
+		rounds[k].train = r.Train
+		rounds[k].bits = [4]uint64{bits(r.AMSD), bits(r.RMSE), bits(r.CumCost)}
+		roundMax[k] = math.Max(roundMax[k], ds.CostAt(r.Row))
 	}
-	return got
+	var wall float64
+	for k := range rounds {
+		wall += roundMax[k]
+		rounds[k].bits[3] = bits(wall)
+	}
+	return rounds
 }
 
 func batchGoldenLiteral(rounds []batchGoldenRound) string {

@@ -348,10 +348,10 @@ func RestoreSession(candidates *mat.Dense, cfg LoopConfig, ck *Checkpoint) (*Ses
 // Snapshot returns the session's state as a checkpoint RestoreSession
 // rebuilds it from. It succeeds only at an iteration boundary of a
 // session that owns its RNG (NewSession with a nil rng) and has fitted
-// its first model: no point outstanding, every seed settled, no error.
-// The checkpoint shares no memory with the session.
+// its first model: no point outstanding or queued, every seed settled,
+// no error. The checkpoint shares no memory with the session.
 func (s *Session) Snapshot() (*Checkpoint, bool) {
-	if s.cs == nil || s.x != nil || len(s.seeds) > 0 || s.model == nil || s.err != nil {
+	if s.cs == nil || s.x != nil || len(s.queue) > 0 || len(s.seeds) > 0 || s.model == nil || s.err != nil {
 		return nil, false
 	}
 	ck := s.checkpoint()

@@ -156,6 +156,16 @@ type LoopConfig struct {
 
 	// ModelOptions tunes the sparse and auto tiers; ignored for dense.
 	ModelOptions ModelOptions
+
+	// BatchSize, when above 1, runs the loop in batch mode for
+	// experiments executed in parallel (§VI): each iteration refits,
+	// scores the pool once and picks min(BatchSize, open rows) distinct
+	// rows with the kriging believer (BatchSelect), which Next then hands
+	// out one at a time before the next iteration starts. Every pick is
+	// recorded under its iteration's Iter, AMSD and RMSE, and Iterations
+	// counts iterations, not picks. Batch mode needs the dense tier,
+	// ReoptimizeEvery 1 and no CheckpointPath.
+	BatchSize int
 }
 
 func (c *LoopConfig) withDefaults() (LoopConfig, error) {
@@ -191,6 +201,17 @@ func (c *LoopConfig) withDefaults() (LoopConfig, error) {
 	}
 	if !validModel(out.Model) {
 		return out, fmt.Errorf("al: unknown model tier %q (want dense, sparse, or auto)", out.Model)
+	}
+	switch {
+	case out.BatchSize < 0:
+		return out, errors.New("al: LoopConfig.BatchSize must be ≥ 0")
+	case out.BatchSize <= 1:
+	case normalizeModel(out.Model) != ModelDense:
+		return out, errors.New("al: batch mode needs the dense model tier")
+	case out.ReoptimizeEvery > 1:
+		return out, errors.New("al: batch mode refits every iteration: ReoptimizeEvery must be 1")
+	case out.CheckpointPath != "":
+		return out, errors.New("al: batch mode does not checkpoint")
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/gp"
@@ -101,14 +102,15 @@ type Session struct {
 	refitN     int
 
 	// The outstanding ask (x is nil when there is none); iter is 0 while
-	// seeds are measured, sel, pred and amsd describe an AL selection.
+	// seeds are measured, pred and amsd describe an AL selection. queue
+	// holds the picks of a batch iteration not yet asked for.
 	iter  int
 	row   int
-	sel   int // position of row in pool
 	x     []float64
 	tries int // failed attempts at the outstanding ask
 	pred  gp.Prediction
 	amsd  float64
+	queue []Candidate
 
 	done bool
 	err  error
@@ -179,8 +181,9 @@ func newDatasetSession(ds *dataset.Dataset, part dataset.Partition, c LoopConfig
 
 // Next returns the point to measure: the seeds first, then one AL
 // selection per iteration — model update, scoring and selection under
-// an "al.iteration" span — and the same point again while a failed
-// measurement has retries left. Until Tell answers, Next repeats the
+// an "al.iteration" span, or in batch mode (LoopConfig.BatchSize) the
+// iteration's picks one after another — and the same point again while
+// a failed measurement has retries left. Until Tell answers, Next repeats the
 // point without new work. A nil x means the session is over (see
 // Result); a failed session returns its error.
 func (s *Session) Next() ([]float64, error) {
@@ -258,7 +261,7 @@ func (s *Session) drive(measure func(row int, x []float64, attempt int) (y, cost
 			return s.Result(), nil
 		}
 		s.Tell(measure(s.row, x, s.attempts[s.row]))
-		if s.x == nil && s.pool != nil && s.cs != nil && s.c.CheckpointPath != "" && s.iter%s.c.CheckpointEvery == 0 {
+		if s.x == nil && len(s.queue) == 0 && s.pool != nil && s.cs != nil && s.c.CheckpointPath != "" && s.iter%s.c.CheckpointEvery == 0 {
 			if err := s.checkpoint().Save(s.c.CheckpointPath); err != nil {
 				return Result{}, err
 			}
@@ -275,6 +278,10 @@ func (s *Session) ask(row int) {
 
 // advance moves to the next point to measure, or ends the session.
 func (s *Session) advance() error {
+	if len(s.queue) > 0 {
+		s.askQueued()
+		return nil
+	}
 	if len(s.seeds) > 0 {
 		s.ask(s.seeds[0])
 		return nil
@@ -294,7 +301,8 @@ func (s *Session) advance() error {
 }
 
 // iterate runs one AL iteration up to the selection: update the model
-// with what the last iteration measured, score the pool, select.
+// with what the last iteration measured, score the pool, select one row
+// or a batch of them, and ask for the first.
 func (s *Session) iterate() error {
 	c := &s.c
 	iterCtx, iterSpan := obs.Start(context.Background(), "al.iteration")
@@ -339,18 +347,45 @@ func (s *Session) iterate() error {
 	poolSize.Set(float64(len(cands)))
 
 	_, selectSpan := obs.Start(iterCtx, "al.select")
-	sel := selectCandidate(c.Strategy, s.model, cands, s.rng)
-	selectSpan.End()
-	if sel < 0 || sel >= len(cands) {
-		return fmt.Errorf("al: strategy %s returned invalid index %d", c.Strategy.Name(), sel)
+	if c.BatchSize > 1 {
+		s.queue, err = s.selectBatch(cands)
+	} else if sel := selectCandidate(c.Strategy, s.model, cands, s.rng); sel < 0 || sel >= len(cands) {
+		err = fmt.Errorf("al: strategy %s returned invalid index %d", c.Strategy.Name(), sel)
+	} else {
+		s.queue = append(s.queue, cands[sel])
 	}
-	// Only the chosen candidate outlives the iteration, so a session
-	// waiting on a measurement does not hold the m-entry cands slice.
-	s.ask(cands[sel].Row)
-	s.sel = sel
-	s.pred = cands[sel].Pred
+	selectSpan.End()
+	if err != nil {
+		return err
+	}
+	// Only the picks outlive the iteration, so a session waiting on a
+	// measurement does not hold the m-entry cands slice.
 	s.amsd = amsd
+	s.askQueued()
 	return nil
+}
+
+// selectBatch picks a batch iteration's rows with the kriging believer.
+// The picks keep the iteration model's predictions, not the believer's.
+func (s *Session) selectBatch(cands []Candidate) ([]Candidate, error) {
+	g, _ := UnwrapGP(s.model)
+	rows, err := BatchSelect(g, cands, min(s.c.BatchSize, len(cands)), s.c.Strategy, s.rng)
+	if err != nil {
+		return nil, err
+	}
+	picks := make([]Candidate, len(rows))
+	for i, row := range rows {
+		picks[i] = cands[slices.IndexFunc(cands, func(cd Candidate) bool { return cd.Row == row })]
+	}
+	return picks, nil
+}
+
+// askQueued asks for the first queued pick.
+func (s *Session) askQueued() {
+	cd := s.queue[0]
+	s.queue = append(s.queue[:0], s.queue[1:]...)
+	s.ask(cd.Row)
+	s.pred = cd.Pred
 }
 
 // score predicts every open row — the whole grid, or a dataset
@@ -461,8 +496,9 @@ func (s *Session) refit(ctx context.Context) error {
 }
 
 // accept adds the outstanding point's measurement to the training set
-// and, for an AL selection, records the iteration and applies the stop
-// rules.
+// and, for an AL selection, records it and applies the stop rules. A
+// stop drops a batch's remaining picks; the AMSD history takes one entry
+// per iteration, at its first accepted pick.
 func (s *Session) accept(y, cost float64) {
 	experiments.Inc()
 	s.train = append(s.train, s.row)
@@ -478,6 +514,8 @@ func (s *Session) accept(y, cost float64) {
 	if !s.c.AllowRevisit {
 		s.leavePool()
 	}
+
+	first := len(s.res.Records) == 0 || s.res.Records[len(s.res.Records)-1].Iter != s.iter
 
 	// Test-set error and CI coverage with the current model.
 	rmse, coverage := math.NaN(), math.NaN()
@@ -501,18 +539,20 @@ func (s *Session) accept(y, cost float64) {
 
 	// Budget exhaustion (§I's fixed-allocation constraint): the crossing
 	// experiment is still recorded.
-	if s.done = s.c.CostBudget > 0 && s.cumCost >= s.c.CostBudget; s.done {
-		return
+	if s.done = s.c.CostBudget > 0 && s.cumCost >= s.c.CostBudget; !s.done && first {
+		s.amsdHist = append(s.amsdHist, s.amsd)
+		s.res.Converged = amsdConverged(s.amsdHist, s.c.ConvergeWindow, s.c.ConvergeTol)
+		s.done = s.res.Converged
 	}
-	s.amsdHist = append(s.amsdHist, s.amsd)
-	s.res.Converged = amsdConverged(s.amsdHist, s.c.ConvergeWindow, s.c.ConvergeTol)
-	s.done = s.res.Converged
+	if s.done {
+		s.queue = nil
+	}
 }
 
-// leavePool removes the selected row from the pool, keeping order.
+// leavePool removes the outstanding row from the pool, keeping order.
 func (s *Session) leavePool() {
-	if s.pool != nil {
-		s.pool = append(s.pool[:s.sel], s.pool[s.sel+1:]...)
+	if i := slices.Index(s.pool, s.row); i >= 0 {
+		s.pool = slices.Delete(s.pool, i, i+1)
 	}
 }
 

@@ -3,6 +3,7 @@ package al
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -62,6 +63,36 @@ func TestResumeKeepsConvergenceHistory(t *testing.T) {
 		sameRecords(t, res.Records, full.Records)
 		if !res.Converged {
 			t.Fatalf("resume at %d: run did not converge", cut)
+		}
+	}
+}
+
+// ReoptimizeEvery with the incremental conditioning path must not change the
+// sequence of selections versus per-iteration refits with identical
+// hyperparameters frozen (sanity: conditioning is exact).
+func TestConditionFastPathConsistency(t *testing.T) {
+	d := synthDS(t, 40, 0.05, 91)
+	p := synthPartition(t, d, 92)
+	// Long reopt interval: iterations 2..6 all run through conditioning.
+	cfg := quickLoop(VarianceReduction{}, 6)
+	cfg.ReoptimizeEvery = 10
+	res, err := Run(d, p, cfg, rand.New(rand.NewSource(93)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 6 {
+		t.Fatalf("%d records", len(res.Records))
+	}
+	// Noise is frozen between refits.
+	for i := 1; i < len(res.Records); i++ {
+		if res.Records[i].Noise != res.Records[0].Noise {
+			t.Fatalf("noise drifted at iter %d without a refit", i+1)
+		}
+	}
+	// Training size still grows 1 per iteration.
+	for i, r := range res.Records {
+		if r.Train != len(p.Initial)+i+1 {
+			t.Fatalf("train size %d at iter %d", r.Train, i+1)
 		}
 	}
 }
