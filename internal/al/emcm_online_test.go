@@ -10,7 +10,6 @@ import (
 	"repro/internal/gp"
 	"repro/internal/kernel"
 	"repro/internal/mat"
-	"repro/internal/optimize"
 )
 
 func TestRunEMCMValidation(t *testing.T) {
@@ -188,39 +187,6 @@ func TestBatchSelectValidation(t *testing.T) {
 	cands := []Candidate{{Row: 0, X: []float64{1}}}
 	if _, err := BatchSelect(g, cands, 5, VarianceReduction{}, nil); err == nil {
 		t.Fatal("expected k-too-large error")
-	}
-}
-
-func TestContinuousSelectFindsHighVariance(t *testing.T) {
-	x := mat.NewFromRows([][]float64{{0}, {0.5}, {1}})
-	y := []float64{0, 0.5, 1}
-	g, err := gp.Fit(gp.Config{Kernel: kernel.NewRBF(0.3, 1), NoiseInit: 0.05}, x, y, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := []optimize.Bounds{{Lo: 0, Hi: 3}}
-	best, val, err := ContinuousSelect(g, bounds, VarianceCriterion, 6, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Highest variance in [0, 3] is far from the data: near x = 3.
-	if best[0] < 2.5 {
-		t.Fatalf("selected x=%g, want near 3", best[0])
-	}
-	if val < g.Predict([]float64{1.5}).SD {
-		t.Fatal("criterion value lower than an interior point's SD")
-	}
-}
-
-func TestContinuousSelectValidation(t *testing.T) {
-	if _, _, err := ContinuousSelect(nil, nil, nil, 1, nil); err == nil {
-		t.Fatal("expected nil-model error")
-	}
-	x := mat.NewFromRows([][]float64{{0}})
-	g, _ := gp.Fit(gp.Config{Kernel: kernel.NewRBF(1, 1), NoiseInit: 0.1}, x, []float64{0}, nil)
-	twoD := []optimize.Bounds{{Lo: 0, Hi: 1}, {Lo: 0, Hi: 1}}
-	if _, _, err := ContinuousSelect(g, twoD, nil, 1, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("expected bounds-dimension error")
 	}
 }
 

@@ -1,7 +1,6 @@
 package al
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -215,9 +214,8 @@ func (s QBC) SelectWithModel(model Regressor, cands []Candidate, rng *rand.Rand)
 //
 // Pure argmax-σ repeatedly measures the same region when revisiting is
 // allowed; the distance term pushes selection toward unexplored parts of
-// the design space — the sequential form of batch-mode k-center
-// selection (see BatchSelectKCenter for the true batch rule). λ = 0
-// degenerates to VarianceReduction. Deterministic: no RNG draws.
+// the design space — the sequential form of greedy k-center selection.
+// λ = 0 degenerates to VarianceReduction. Deterministic: no RNG draws.
 type Diversity struct {
 	// Lambda weighs the min-distance bonus against σ (default 1).
 	Lambda float64
@@ -319,63 +317,4 @@ func sqDist(x, y []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// BatchSelectKCenter picks k distinct pool candidates in one shot using
-// greedy k-center selection with a variance objective: the first pick is
-// the highest-σ candidate, each later pick maximizes
-//
-//	σ(x) + λ·min_{p ∈ picked} ‖x − x_p‖,
-//
-// spreading the batch across the design space instead of clustering it
-// around one uncertainty peak. Compared to the kriging-believer
-// BatchSelect it needs no fantasy model updates — O(k·m·d) instead of k
-// posterior refits — which is the right trade at large pool sizes; the
-// believer remains the higher-fidelity (and costlier) batch rule.
-// Deterministic: ties break toward the lower candidate index and no RNG
-// is consumed.
-func BatchSelectKCenter(cands []Candidate, k int, lambda float64) ([]int, error) {
-	if k <= 0 || k > len(cands) {
-		return nil, fmt.Errorf("al: BatchSelectKCenter k=%d with %d candidates", k, len(cands))
-	}
-	if lambda <= 0 {
-		lambda = 1
-	}
-	// mind[i] is the distance from candidate i to its nearest picked
-	// point, updated incrementally after each pick.
-	mind := make([]float64, len(cands))
-	for i := range mind {
-		mind[i] = math.Inf(1)
-	}
-	picked := make([]bool, len(cands))
-	var picks []int
-	for round := 0; round < k; round++ {
-		best, bestV := -1, math.Inf(-1)
-		for i, c := range cands {
-			if picked[i] {
-				continue
-			}
-			score := c.Pred.SD
-			if round > 0 {
-				score += lambda * math.Sqrt(mind[i])
-			}
-			if score > bestV {
-				best, bestV = i, score
-			}
-		}
-		if best < 0 {
-			return nil, errors.New("al: BatchSelectKCenter ran out of candidates")
-		}
-		picked[best] = true
-		picks = append(picks, cands[best].Row)
-		for i, c := range cands {
-			if picked[i] {
-				continue
-			}
-			if d2 := sqDist(c.X, cands[best].X); d2 < mind[i] {
-				mind[i] = d2
-			}
-		}
-	}
-	return picks, nil
 }

@@ -179,43 +179,6 @@ func TestQBCFallsBackWithoutModel(t *testing.T) {
 	}
 }
 
-func TestBatchSelectKCenterSpreadsPicks(t *testing.T) {
-	// Candidates on a 1-D line with near-equal SDs; k-center must not
-	// pick two adjacent points when a far point is available.
-	cands := []Candidate{
-		{Row: 0, X: []float64{0.0}, Pred: gp.Prediction{SD: 1.00}},
-		{Row: 1, X: []float64{0.1}, Pred: gp.Prediction{SD: 0.99}},
-		{Row: 2, X: []float64{0.2}, Pred: gp.Prediction{SD: 0.98}},
-		{Row: 3, X: []float64{5.0}, Pred: gp.Prediction{SD: 0.50}},
-	}
-	picks, err := BatchSelectKCenter(cands, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(picks) != 2 || picks[0] != 0 || picks[1] != 3 {
-		t.Fatalf("picks = %v, want [0 3]", picks)
-	}
-	// Distinctness over the full pool.
-	picks, err = BatchSelectKCenter(cands, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, r := range picks {
-		if seen[r] {
-			t.Fatalf("duplicate pick %d in %v", r, picks)
-		}
-		seen[r] = true
-	}
-	// Error cases.
-	if _, err := BatchSelectKCenter(cands, 0, 1); err == nil {
-		t.Fatal("k=0 must error")
-	}
-	if _, err := BatchSelectKCenter(cands, 5, 1); err == nil {
-		t.Fatal("k>len must error")
-	}
-}
-
 func TestEMCMGradientCostAware(t *testing.T) {
 	// Same σ and ‖x‖: the γ-weighted variant must avoid the expensive
 	// (high predicted mean) candidate, the γ=0 one is indifferent to it.

@@ -173,9 +173,12 @@ func TestJobPower(t *testing.T) {
 	}
 }
 
+// constWatts is a constant true power draw for SampleTraceFunc.
+func constWatts(w float64) func(float64) float64 { return func(float64) float64 { return w } }
+
 func TestSampleTraceDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tr := SampleTrace(rng, 60, 200, TraceConfig{PeriodS: 1})
+	tr := SampleTraceFunc(rng, 60, constWatts(200), TraceConfig{PeriodS: 1})
 	if len(tr) != 61 {
 		t.Fatalf("%d samples, want 61", len(tr))
 	}
@@ -188,7 +191,7 @@ func TestSampleTraceDense(t *testing.T) {
 
 func TestSampleTraceDropout(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	tr := SampleTrace(rng, 600, 200, TraceConfig{PeriodS: 1, Dropout: 0.5})
+	tr := SampleTraceFunc(rng, 600, constWatts(200), TraceConfig{PeriodS: 1, Dropout: 0.5})
 	if len(tr) > 450 || len(tr) < 200 {
 		t.Fatalf("dropout ineffective: %d samples of 601", len(tr))
 	}
@@ -196,7 +199,7 @@ func TestSampleTraceDropout(t *testing.T) {
 
 func TestSampleTraceJitterNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tr := SampleTrace(rng, 100, 1, TraceConfig{PeriodS: 1, JitterW: 50})
+	tr := SampleTraceFunc(rng, 100, constWatts(1), TraceConfig{PeriodS: 1, JitterW: 50})
 	for _, s := range tr {
 		if s.Watts < 0 {
 			t.Fatalf("negative power %g", s.Watts)
@@ -206,7 +209,7 @@ func TestSampleTraceJitterNonNegative(t *testing.T) {
 
 func TestEnergyFromTraceConstantPower(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tr := SampleTrace(rng, 120, 250, TraceConfig{PeriodS: 1})
+	tr := SampleTraceFunc(rng, 120, constWatts(250), TraceConfig{PeriodS: 1})
 	e, err := EnergyFromTrace(tr, 120)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +255,7 @@ func TestEnergyDropoutRobustProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dur := 200.0
 		watts := 100 + 200*rng.Float64()
-		tr := SampleTrace(rng, dur, watts, TraceConfig{PeriodS: 1, Dropout: 0.3})
+		tr := SampleTraceFunc(rng, dur, constWatts(watts), TraceConfig{PeriodS: 1, Dropout: 0.3})
 		e, err := EnergyFromTrace(tr, dur)
 		if errors.Is(err, ErrTraceTooSparse) {
 			return true // acceptable outcome

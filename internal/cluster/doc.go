@@ -21,7 +21,7 @@
 //   - Placement / Place: mapping np requested cores onto nodes.
 //   - Work: the application's compute/memory/network demand, produced by
 //     internal/hpgmg's work model.
-//   - SampleTrace / SampleTraceFunc / EnergyFromTrace: the IPMI-style
+//   - SampleTraceFunc / EnergyFromTrace: the IPMI-style
 //     power sampler (jitter + dropout) and the trapezoid energy
 //     integrator that rejects too-sparse traces, as the paper's
 //     measurement pipeline did.

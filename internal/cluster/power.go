@@ -36,17 +36,11 @@ const MinSamplesPer60S = 10
 // paper's density gate.
 var ErrTraceTooSparse = errors.New("cluster: power trace too sparse for energy estimation")
 
-// SampleTrace simulates an IPMI power trace over a job of the given
-// duration with constant true draw watts. Readings are taken every
-// PeriodS, dropped independently with probability Dropout, and perturbed
-// by sensor noise.
-func SampleTrace(rng *rand.Rand, durationS, watts float64, cfg TraceConfig) []PowerSample {
-	return SampleTraceFunc(rng, durationS, func(float64) float64 { return watts }, cfg)
-}
-
-// SampleTraceFunc simulates an IPMI power trace where the true draw
-// varies over the job — e.g. dips during the coarse-grid phases of a
-// multigrid solve. watts is evaluated at each sampling instant.
+// SampleTraceFunc simulates an IPMI power trace over a job of the given
+// duration whose true draw may vary — e.g. dips during the coarse-grid
+// phases of a multigrid solve. watts is evaluated at each sampling
+// instant; readings are taken every PeriodS, dropped independently with
+// probability Dropout, and perturbed by sensor noise.
 func SampleTraceFunc(rng *rand.Rand, durationS float64, watts func(t float64) float64, cfg TraceConfig) []PowerSample {
 	period := cfg.PeriodS
 	if period <= 0 {

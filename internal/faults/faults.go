@@ -30,7 +30,6 @@ var (
 	injNodeFail  = obs.C("faults.injected.nodefail")
 	injStraggler = obs.C("faults.injected.straggler")
 	injCorrupt   = obs.C("faults.injected.corrupt")
-	injPowerDrop = obs.C("faults.injected.powerdrop")
 )
 
 // Kind identifies one fault class.
@@ -48,8 +47,6 @@ const (
 	// CorruptMeasurement replaces a measured response with NaN, ±Inf, or
 	// a gross outlier.
 	CorruptMeasurement
-	// PowerDropout drops one IPMI power sample from a trace.
-	PowerDropout
 )
 
 // String implements fmt.Stringer.
@@ -63,8 +60,6 @@ func (k Kind) String() string {
 		return "straggler"
 	case CorruptMeasurement:
 		return "corrupt"
-	case PowerDropout:
-		return "powerdrop"
 	default:
 		return "unknown"
 	}
@@ -94,8 +89,6 @@ type Config struct {
 	// corrupted reading is the true value times this factor
 	// (default 100).
 	OutlierFactor float64
-	// PowerDropRate is the probability that one power sample is lost.
-	PowerDropRate float64
 }
 
 // CompositeConfig is the chaos-test shorthand: job failures, stragglers
@@ -134,7 +127,7 @@ func (inj *Injector) Enabled() bool {
 	}
 	c := inj.cfg
 	return c.JobFailRate > 0 || c.NodeFailRate > 0 || c.StragglerRate > 0 ||
-		c.CorruptRate > 0 || c.PowerDropRate > 0
+		c.CorruptRate > 0
 }
 
 // splitmix64 finalizer: a high-quality 64-bit mixer (Steele et al.,
@@ -235,17 +228,4 @@ func (inj *Injector) Corrupt(job, attempt int, y float64) (float64, bool) {
 		}
 		return out, true
 	}
-}
-
-// DropPowerSample reports whether sample index `sample` of job `job`'s
-// power trace is lost.
-func (inj *Injector) DropPowerSample(job, sample int) bool {
-	if inj == nil || inj.cfg.PowerDropRate <= 0 {
-		return false
-	}
-	if inj.u01(PowerDropout, 0, job, sample) < inj.cfg.PowerDropRate {
-		injPowerDrop.Inc()
-		return true
-	}
-	return false
 }

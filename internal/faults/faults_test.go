@@ -11,7 +11,7 @@ func TestNilAndZeroInjectNothing(t *testing.T) {
 			t.Fatal("disabled injector reports Enabled")
 		}
 		for job := 0; job < 100; job++ {
-			if inj.JobFails(job, 0) || inj.NodeFails(job, 0) || inj.DropPowerSample(job, 0) {
+			if inj.JobFails(job, 0) || inj.NodeFails(job, 0) {
 				t.Fatalf("disabled injector injected a fault for job %d", job)
 			}
 			if f := inj.Slowdown(job, 0); f != 1 {
@@ -29,7 +29,6 @@ func TestNilAndZeroInjectNothing(t *testing.T) {
 func TestDeterministicAndOrderIndependent(t *testing.T) {
 	cfg := CompositeConfig(42, 0.3)
 	cfg.NodeFailRate = 0.1
-	cfg.PowerDropRate = 0.2
 	a, b := New(cfg), New(cfg)
 
 	// Warm b with unrelated queries to shift any hidden state.

@@ -141,7 +141,7 @@ func TestLMLvsLOOCVAgreeOnCleanData(t *testing.T) {
 	check("LOO-CV", cv)
 }
 
-// Condition must equal Augmented (full refit with the same
+// Conditioning by UpdateWithPoint must equal Augmented (full refit with the same
 // hyperparameters) in its predictions.
 func TestConditionMatchesAugmented(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
@@ -160,7 +160,7 @@ func TestConditionMatchesAugmented(t *testing.T) {
 	}
 	newX := []float64{2, 2}
 	newY := 0.3
-	fast, err := g.Condition(newX, newY)
+	fast, err := g.UpdateWithPoint(newX, newY)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestConditionMatchesAugmented(t *testing.T) {
 		pf := fast.Predict(q)
 		ps := slow.Predict(q)
 		if math.Abs(pf.Mean-ps.Mean) > 1e-8 || math.Abs(pf.SD-ps.SD) > 1e-8 {
-			t.Fatalf("Condition %+v vs Augmented %+v at %v", pf, ps, q)
+			t.Fatalf("UpdateWithPoint %+v vs Augmented %+v at %v", pf, ps, q)
 		}
 	}
 	if fast.NumTrain() != n+1 {
@@ -193,7 +193,7 @@ func TestConditionChainsRepeatedly(t *testing.T) {
 	}
 	cur := g
 	for i := 1; i <= 10; i++ {
-		cur, err = cur.Condition([]float64{float64(i) * 0.5}, math.Sin(float64(i)*0.5))
+		cur, err = cur.UpdateWithPoint([]float64{float64(i) * 0.5}, math.Sin(float64(i)*0.5))
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -214,7 +214,7 @@ func TestConditionDimMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Condition([]float64{0, 1}, 0); err == nil {
+	if _, err := g.UpdateWithPoint([]float64{0, 1}, 0); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
@@ -237,7 +237,7 @@ func BenchmarkConditionVsAugmented(b *testing.B) {
 	b.Run("condition-o_n2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := g.Condition(newX, 0.5); err != nil {
+			if _, err := g.UpdateWithPoint(newX, 0.5); err != nil {
 				b.Fatal(err)
 			}
 		}

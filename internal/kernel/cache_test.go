@@ -12,11 +12,10 @@ import (
 // …) on each call, exactly as the kernels did before they cached them.
 // The cached kernels must match these formulas bit for bit.
 type refKernel struct {
-	k         Kernel
-	eval      func(th, x, y []float64) float64
-	evalGrad  func(th, x, y, g []float64) float64
-	evalSq    func(th []float64, d2 float64) float64 // nil unless k is a DistanceKernel
-	inputGrad func(th, x, y, g []float64) float64    // nil unless k is an InputGradient
+	k        Kernel
+	eval     func(th, x, y []float64) float64
+	evalGrad func(th, x, y, g []float64) float64
+	evalSq   func(th []float64, d2 float64) float64 // nil unless k is a DistanceKernel
 }
 
 func refRBFEval(th, x, y []float64) float64 {
@@ -78,15 +77,6 @@ func refKernels() []refKernel {
 				sf2 := math.Exp(2 * th[1])
 				return sf2 * math.Exp(-d2/(2*l*l))
 			},
-			inputGrad: func(th, x, y, g []float64) float64 {
-				l := math.Exp(th[0])
-				v := refRBFEval(th, x, y)
-				inv := 1 / (l * l)
-				for d := range x {
-					g[d] = -v * (x[d] - y[d]) * inv
-				}
-				return v
-			},
 		},
 		{
 			k:    NewARD([]float64{0.5, 2.0, 1.1}, 1.5),
@@ -105,14 +95,6 @@ func refKernels() []refKernel {
 					g[d] = v * scaled[d]
 				}
 				g[len(x)] = 2 * v
-				return v
-			},
-			inputGrad: func(th, x, y, g []float64) float64 {
-				v := refARDEval(th, x, y)
-				for d := range x {
-					l := math.Exp(th[d])
-					g[d] = -v * (x[d] - y[d]) / (l * l)
-				}
 				return v
 			},
 		},
@@ -154,19 +136,6 @@ func refKernels() []refKernel {
 				g[1] = 2 * v
 				return v
 			},
-			inputGrad: func(th, x, y, g []float64) float64 {
-				l := math.Exp(th[0])
-				sf2 := math.Exp(2 * th[1])
-				r2 := sqDist(x, y)
-				a := math.Sqrt(5*r2) / l
-				e := math.Exp(-a)
-				v := sf2 * (1 + a + a*a/3) * e
-				coef := -sf2 * 5 / (3 * l * l) * (1 + a) * e
-				for d := range x {
-					g[d] = coef * (x[d] - y[d])
-				}
-				return v
-			},
 		},
 		{
 			k: NewRationalQuadratic(1.1, 0.9, 2.0),
@@ -198,12 +167,6 @@ func refKernels() []refKernel {
 				v := math.Exp(2 * th[0])
 				g[0] = 2 * v
 				return v
-			},
-			inputGrad: func(th, _, _, g []float64) float64 {
-				for i := range g {
-					g[i] = 0
-				}
-				return math.Exp(2 * th[0])
 			},
 		},
 		{
@@ -280,7 +243,7 @@ func randTheta(rng *rand.Rand, k Kernel) []float64 {
 
 // TestCachedHyperBitIdentical pins the cached-derived-value contract:
 // after the constructor and after every SetHyper in a random sequence,
-// Eval, EvalGrad, EvalSq and EvalInputGrad return exactly the bits of
+// Eval, EvalGrad and EvalSq return exactly the bits of
 // the per-call formulas.
 func TestCachedHyperBitIdentical(t *testing.T) {
 	const dim = 3
@@ -289,7 +252,6 @@ func TestCachedHyperBitIdentical(t *testing.T) {
 		k := rk.k
 		nh := k.NumHyper()
 		g, want := make([]float64, nh), make([]float64, nh)
-		ig, wantIG := make([]float64, dim), make([]float64, dim)
 		check := func(step int) {
 			th := k.Hyper()
 			for trial := 0; trial < 20; trial++ {
@@ -320,18 +282,6 @@ func TestCachedHyperBitIdentical(t *testing.T) {
 					d2 := sqDist(x, y)
 					if got, ref := k.(DistanceKernel).EvalSq(d2), rk.evalSq(th, d2); !sameBits(got, ref) {
 						t.Fatalf("%s step %d θ=%v: EvalSq %v, per-call formula %v", k.Name(), step, th, got, ref)
-					}
-				}
-				if rk.inputGrad != nil {
-					v := k.(InputGradient).EvalInputGrad(x, y, ig)
-					rv := rk.inputGrad(th, x, y, wantIG)
-					if !sameBits(v, rv) {
-						t.Fatalf("%s step %d θ=%v: EvalInputGrad value %v, per-call formula %v", k.Name(), step, th, v, rv)
-					}
-					for d := range ig {
-						if !sameBits(ig[d], wantIG[d]) {
-							t.Fatalf("%s step %d θ=%v: ∂k/∂x_%d %v, per-call formula %v", k.Name(), step, th, d, ig[d], wantIG[d])
-						}
 					}
 				}
 			}

@@ -171,16 +171,6 @@ func MatrixGradInto(kmat *mat.Dense, grads []*mat.Dense, k Kernel, x *mat.Dense)
 	}
 }
 
-// Variances returns the prior variance k(x_i, x_i) for each row of x.
-func Variances(k Kernel, x *mat.Dense) []float64 {
-	out := make([]float64, x.Rows())
-	for i := range out {
-		xi := x.RawRow(i)
-		out[i] = k.Eval(xi, xi)
-	}
-	return out
-}
-
 // sqDist returns |x-y|² and panics on dimension mismatch.
 func sqDist(x, y []float64) float64 {
 	if len(x) != len(y) {

@@ -53,7 +53,7 @@ func TestCholeskyParallelSolve(t *testing.T) {
 
 func TestCholeskyParallelIndefinite(t *testing.T) {
 	n := 150
-	a := Eye(n)
+	a := eye(n)
 	a.Set(n/2, n/2, -1) // indefinite deep inside a block
 	if _, err := NewCholeskyParallel(a, 32); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("err = %v", err)

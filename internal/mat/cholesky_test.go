@@ -82,7 +82,7 @@ func TestCholeskyInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := ch.Inverse()
-	matricesEqual(t, Mul(a, inv), Eye(10), 1e-8)
+	matricesEqual(t, Mul(a, inv), eye(10), 1e-8)
 }
 
 func TestCholeskyQuadForm(t *testing.T) {
@@ -115,7 +115,7 @@ func TestCholeskyIndefiniteFails(t *testing.T) {
 func TestCholeskyJitterRecovers(t *testing.T) {
 	// Rank-deficient PSD matrix (outer product) needs jitter.
 	v := Vec{1, 2, 3}
-	a := Outer(v, v)
+	a := outer(v, v)
 	ch, jitter, err := NewCholeskyJitter(a, 0, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestCholeskyExtended(t *testing.T) {
 // TestCholeskyExtendedRejectsIndefinite: a border that breaks positive
 // definiteness must be rejected with the shared sentinel.
 func TestCholeskyExtendedRejectsIndefinite(t *testing.T) {
-	ch, err := NewCholesky(Eye(2))
+	ch, err := NewCholesky(eye(2))
 	if err != nil {
 		t.Fatal(err)
 	}

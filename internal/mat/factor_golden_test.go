@@ -89,7 +89,7 @@ func TestFactorGoldenBits(t *testing.T) {
 	forwardSubst4(ch, y4, b4)
 
 	u := Vec{1, 2, 3, 4, 5}
-	jch, jitter, err := NewCholeskyJitter(Outer(u, u), 0, 20)
+	jch, jitter, err := NewCholeskyJitter(outer(u, u), 0, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

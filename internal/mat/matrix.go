@@ -47,15 +47,6 @@ func NewFromRows(rows [][]float64) *Dense {
 	return m
 }
 
-// Eye returns the n x n identity matrix.
-func Eye(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -200,48 +191,6 @@ func (m *Dense) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// Norm1 returns the maximum absolute column sum (the induced 1-norm).
-func (m *Dense) Norm1() float64 {
-	sums := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			sums[j] += math.Abs(v)
-		}
-	}
-	var mx float64
-	for _, s := range sums {
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
-// FrobeniusNorm returns sqrt(sum m_ij^2).
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// IsSymmetric reports whether m is square and symmetric to within tol.
-func (m *Dense) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.data[i*m.cols+j]-m.data[j*m.cols+i]) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Symmetrize replaces m with (m + mᵀ)/2; m must be square.

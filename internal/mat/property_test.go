@@ -150,7 +150,7 @@ func TestRankOneDowndateProperty(t *testing.T) {
 // TestRankOneDowndateRejectsIndefinite: removing a vector that breaks
 // positive definiteness must fail rather than emit NaNs.
 func TestRankOneDowndateRejectsIndefinite(t *testing.T) {
-	a := Eye(4)
+	a := eye(4)
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)

@@ -141,15 +141,3 @@ func (m *Dense) MulVecT(v Vec) Vec {
 	}
 	return out
 }
-
-// Outer returns the outer product x yᵀ as a new matrix.
-func Outer(x, y Vec) *Dense {
-	m := New(len(x), len(y))
-	for i, xv := range x {
-		row := m.data[i*len(y) : (i+1)*len(y)]
-		for j, yv := range y {
-			row[j] = xv * yv
-		}
-	}
-	return m
-}

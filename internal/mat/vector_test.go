@@ -90,16 +90,6 @@ func TestMulVecAndT(t *testing.T) {
 	}
 }
 
-func TestOuter(t *testing.T) {
-	o := Outer(Vec{1, 2}, Vec{3, 4, 5})
-	if o.Rows() != 2 || o.Cols() != 3 {
-		t.Fatalf("Outer shape %dx%d", o.Rows(), o.Cols())
-	}
-	if o.At(1, 2) != 10 {
-		t.Fatalf("Outer[1,2] = %g", o.At(1, 2))
-	}
-}
-
 func TestVecClone(t *testing.T) {
 	v := Vec{1, 2}
 	c := v.Clone()
