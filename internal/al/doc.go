@@ -44,9 +44,10 @@
 //   - Diversity ("diversity"): σ + λ·distance-to-nearest-training-point
 //     — sequential k-center exploration.
 //
-// Batch modes: BatchSelect (kriging believer, fantasy updates) and
-// BatchSelectKCenter (greedy k-center over σ, no refits) pick k points
-// per round for RunParallel.
+// Batch mode: with LoopConfig.BatchSize k > 1 each iteration of the
+// one session picks k distinct points with BatchSelect (kriging
+// believer: each pick conditions the model on a fantasy observation at
+// its own mean) for experiments run in parallel (§VI).
 //
 // # Key types
 //
@@ -64,8 +65,9 @@
 //     IterationRecord carries the §V-B3 monitoring quantities per step.
 //   - RunOnline: the loop against live experiments (§VI) through an
 //     Oracle; internal/serve campaigns drive a Session directly.
-//   - BatchSelect / BatchSelectKCenter / RunParallel: batched selection
-//     with simulated scheduler accounting (ablation A4).
+//   - LoopConfig.BatchSize / BatchSelect: batch mode, k picks per
+//     iteration handed out one at a time by Next, every pick recorded
+//     under its iteration (ablation A4 adds the scheduler accounting).
 //
 // # Regressor contract
 //
@@ -95,8 +97,8 @@
 // (NoiseModel, LikelihoodModel, TrainDataModel, PosteriorSampler) are
 // discovered by type assertion; strategies needing one — Thompson
 // sampling, QBC's bootstrap refits, checkpoint recipes — degrade or
-// error out explicitly when the model lacks it. WrapGP/UnwrapGP
-// convert at the boundary for callers holding a bare *gp.GP.
+// error out explicitly when the model lacks it. UnwrapGP recovers
+// the *gp.GP behind a dense model.
 //
 // # Evaluation harness
 //
@@ -120,10 +122,9 @@
 //
 // Strategies are stateless values and safe for concurrent use. A
 // Session is not: each realization owns one, with its *rand.Rand, and
-// Run, Resume and RunOnline step theirs on the calling goroutine. The
-// same holds for RunParallel and the config/result structs, so run
-// concurrent realizations with separate arguments (as al.RunBatch does
-// internally).
+// Run, Resume and RunOnline step theirs on the calling goroutine, so
+// run concurrent realizations with separate arguments (as al.RunBatch
+// does internally).
 //
 // # Scorer pool
 //

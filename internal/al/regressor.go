@@ -113,11 +113,6 @@ func (a autoRegressor) UpdateWithPoint(x []float64, y float64) (Regressor, error
 	return autoRegressor{m}, nil
 }
 
-// WrapGP adapts a fitted dense GP to the Regressor interface — the
-// bridge for callers that fit dense models directly (batch-mode AL,
-// tests) into interface-typed surfaces like ScoreBatch.
-func WrapGP(g *gp.GP) Regressor { return denseRegressor{g} }
-
 // UnwrapGP returns the dense *gp.GP backing r, when there is one —
 // either a wrapped dense model or an auto model that resolved dense.
 func UnwrapGP(r Regressor) (*gp.GP, bool) {

@@ -48,7 +48,7 @@ func TestScorePoolMatchesSerial(t *testing.T) {
 	grid := bigGrid(137) // odd size: exercises a ragged final chunk
 	want := model.PredictBatch(grid)
 	for _, workers := range []int{1, 2, 3, 4, 8, 137, 200} {
-		got := scorePool(WrapGP(model), grid, workers)
+		got := scorePool(denseRegressor{model}, grid, workers)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d predictions, want %d", workers, len(got), len(want))
 		}
@@ -85,7 +85,7 @@ func TestScoreBatchBitIdentical(t *testing.T) {
 	}
 	want := model.PredictBatch(grid)
 	for _, workers := range []int{1, 2, 3, 5, 7} {
-		got := ScoreBatch(WrapGP(model), grid, workers)
+		got := ScoreBatch(denseRegressor{model}, grid, workers)
 		if len(got) != m {
 			t.Fatalf("workers=%d: %d predictions, want %d", workers, len(got), m)
 		}
@@ -109,7 +109,7 @@ func TestScorePoolConcurrentModels(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := scorePool(WrapGP(model), grid, 4)
+			got := scorePool(denseRegressor{model}, grid, 4)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Errorf("concurrent scorePool diverged at %d", i)

@@ -155,7 +155,7 @@ func TestDiversityPrefersUnexploredRegion(t *testing.T) {
 		{Row: 3, X: []float64{0.4}, Pred: gp.Prediction{Mean: 0, SD: 0.5}},
 		{Row: 29, X: []float64{4.0}, Pred: gp.Prediction{Mean: 0, SD: 0.5}},
 	}
-	got := Diversity{Lambda: 1}.SelectWithModel(WrapGP(model), cands, nil)
+	got := Diversity{Lambda: 1}.SelectWithModel(denseRegressor{model}, cands, nil)
 	if got != 1 {
 		t.Fatalf("Diversity picked %d, want the far candidate (1)", got)
 	}
