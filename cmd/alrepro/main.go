@@ -50,7 +50,7 @@ var generators = map[string]func(experiments.Options) (*experiments.Report, erro
 var order = []string{"T1", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "A1", "A2", "A3", "A4", "A5", "A6"}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (T1, F1..F8, A1..A4) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (T1, F1..F8, A1..A6) or 'all'")
 	out := flag.String("out", "results", "output directory")
 	seed := flag.Int64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "smaller batches for a fast pass")
@@ -132,7 +132,7 @@ func run(exp, out string, seed int64, quick, plot, resume bool) error {
 	if exp != "all" {
 		id := strings.ToUpper(exp)
 		if _, ok := generators[id]; !ok {
-			return fmt.Errorf("unknown experiment %q (want T1, F1..F8, A1..A4, all)", exp)
+			return fmt.Errorf("unknown experiment %q (want T1, F1..F8, A1..A6, all)", exp)
 		}
 		ids = []string{id}
 	}
