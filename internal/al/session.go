@@ -183,8 +183,8 @@ func newDatasetSession(ds *dataset.Dataset, part dataset.Partition, c LoopConfig
 // selection per iteration — model update, scoring and selection under
 // an "al.iteration" span, or in batch mode (LoopConfig.BatchSize) the
 // iteration's picks one after another — and the same point again while
-// a failed measurement has retries left. Until Tell answers, Next repeats the
-// point without new work. A nil x means the session is over (see
+// a failed measurement has retries left. Until Tell answers, Next
+// repeats the point without new work. A nil x means the session is over (see
 // Result); a failed session returns its error.
 func (s *Session) Next() ([]float64, error) {
 	if s.x == nil && !s.done {
@@ -261,7 +261,7 @@ func (s *Session) drive(measure func(row int, x []float64, attempt int) (y, cost
 			return s.Result(), nil
 		}
 		s.Tell(measure(s.row, x, s.attempts[s.row]))
-		if s.x == nil && len(s.queue) == 0 && s.pool != nil && s.cs != nil && s.c.CheckpointPath != "" && s.iter%s.c.CheckpointEvery == 0 {
+		if s.x == nil && s.pool != nil && s.cs != nil && s.c.CheckpointPath != "" && s.iter%s.c.CheckpointEvery == 0 {
 			if err := s.checkpoint().Save(s.c.CheckpointPath); err != nil {
 				return Result{}, err
 			}

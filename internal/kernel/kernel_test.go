@@ -344,6 +344,17 @@ func TestMatrixGradConsistent(t *testing.T) {
 	}
 }
 
+// The prior variance k(x, x) of a stationary kernel is σf² at every
+// point.
+func TestVariances(t *testing.T) {
+	k := NewRBF(1, 2)
+	for _, x := range [][]float64{{0}, {5}} {
+		if v := k.Eval(x, x); !almostEq(v, 4, 1e-14) {
+			t.Fatalf("Variance at %v = %g, want 4", x, v)
+		}
+	}
+}
+
 func TestBoundsClamp(t *testing.T) {
 	b := Bounds{Lo: -1, Hi: 1}
 	if b.Clamp(-5) != -1 || b.Clamp(5) != 1 || b.Clamp(0.5) != 0.5 {
