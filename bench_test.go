@@ -3,10 +3,13 @@ package repro
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,6 +21,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/multigrid"
 	"repro/internal/obs"
+	"repro/internal/ring"
 	"repro/internal/serve"
 )
 
@@ -710,5 +714,114 @@ func resumeToEnd(b *testing.B, id string, journal []byte) {
 	c.Wait()
 	if st, err := c.Status(false); err != nil || st.State != serve.StateDone {
 		b.Fatalf("resumed campaign ended %s (err %v)", st.State, err)
+	}
+}
+
+// BenchmarkRetainedHeap measures the live heap one parked replicated
+// campaign holds. k = 4 campaigns on the full Performance grid in paper
+// coordinates (two per strategy, as on cluster-observe: 2 seeds, no
+// hyperparameter refit after the first) run on a 3-node ring that keeps
+// journals in MemStores and ships every record to both other nodes.
+// Each answers 32 suggestions, then waits parked with its next one
+// pending. retained_B/campaign is the live heap after two forced GCs,
+// less the live heap of the idle ring before the campaigns, over k: the
+// owner's session, model, score cache and journal, and both follower
+// replicas. Unlike a heap reading taken mid-run, it moves only with
+// the code. scripts/benchdiff gates it against max_retained.
+//
+//	go test -run '^$' -bench BenchmarkRetainedHeap -benchtime 1x .
+func BenchmarkRetainedHeap(b *testing.B) {
+	const k, steps = 4, 32
+	ds, err := GeneratePerformanceDataset(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]int, ds.Len())
+	for i := range rows {
+		rows[i] = i
+	}
+	x, y := perfPaperCoords(ds, rows)
+	cands := make([][]float64, x.Rows())
+	answer := make(map[[3]float64]float64, len(cands))
+	for i := range cands {
+		cands[i] = x.RawRow(i)
+		answer[[3]float64(cands[i])] = y[i]
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second empties the sync.Pool victim caches
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	// park runs k campaigns on a fresh ring and returns the live heap
+	// they retain in all.
+	park := func(k int) uint64 {
+		cl, err := ring.StartCluster(ring.ClusterConfig{Replicas: 3, Replication: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		rng := rand.New(rand.NewSource(1))
+		before := liveHeap()
+		for c := 0; c < k; c++ {
+			spec := serve.CampaignSpec{
+				Source: "client", Candidates: cands, Seeds: rng.Perm(len(cands))[:2],
+				Strategy: []string{"variance-reduction", "cost-efficiency"}[c%2], Iterations: 60,
+				ReoptimizeEvery: 61, Seed: int64(c + 1),
+			}
+			parkCampaign(b, cl, spec, answer, steps)
+		}
+		return liveHeap() - before
+	}
+	// A first round fills the process-wide caches a later round finds
+	// (encoder tables, metric registries), so that a single op reads
+	// what every later one does.
+	park(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.ReportMetric(float64(park(k))/k, "retained_B/campaign")
+	}
+}
+
+// parkCampaign creates spec through the cluster's router, answers its
+// first steps suggestions on the owner node and returns once the next
+// suggestion is pending.
+func parkCampaign(b *testing.B, cl *ring.Cluster, spec serve.CampaignSpec, answer map[[3]float64]float64, steps int) {
+	b.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp, err := http.Post(cl.URL()+"/campaigns", "application/json", bytes.NewReader(body))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var st serve.CampaignStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		b.Fatalf("create: HTTP %d, %v", resp.StatusCode, err)
+	}
+	c, err := cl.Node(cl.Router().Owner(st.ID)).Manager().Get(st.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for n := 0; ; {
+		sug, err := c.Suggest()
+		if errors.Is(err, serve.ErrNoPending) {
+			time.Sleep(100 * time.Microsecond)
+			continue
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n == steps {
+			return
+		}
+		if err := c.Observe(sug.Seq, answer[[3]float64(sug.X)], 1); err != nil {
+			b.Fatal(err)
+		}
+		n++
 	}
 }

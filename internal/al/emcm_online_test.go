@@ -160,6 +160,9 @@ func TestBatchSelectDiversifies(t *testing.T) {
 		{Row: 2, X: []float64{-10.0}},
 		{Row: 3, X: []float64{-10.01}},
 	}
+	for i := range cands {
+		cands[i].Pred = g.Predict(cands[i].X)
+	}
 	picks, err := BatchSelect(g, cands, 2, VarianceReduction{}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/gp"
+	"repro/internal/mat"
 )
 
 // BatchSelect picks k distinct pool candidates for parallel execution
@@ -14,6 +15,11 @@ import (
 // mean, deflating the variance around the pick so the next pick explores
 // elsewhere. This addresses the paper's future-work note that parallel
 // experiments "may indicate a less greedy selection strategy" (§VI).
+//
+// cands must carry model's predictions, as a scoring pass leaves them:
+// the first pick selects on those, and each believer round predicts the
+// candidates left with one PredictBatch, bit-identical to Predict at
+// each of them.
 func BatchSelect(model *gp.GP, cands []Candidate, k int, strategy Strategy, rng *rand.Rand) ([]int, error) {
 	if model == nil || strategy == nil {
 		return nil, errors.New("al: BatchSelect requires a model and a strategy")
@@ -25,9 +31,15 @@ func BatchSelect(model *gp.GP, cands []Candidate, k int, strategy Strategy, rng 
 	cur := model
 	var picks []int
 	for round := 0; round < k; round++ {
-		// Rescore the remaining candidates under the believer model.
-		for i := range remaining {
-			remaining[i].Pred = cur.Predict(remaining[i].X)
+		if round > 0 {
+			// Rescore the remaining candidates under the believer model.
+			xs := mat.New(len(remaining), len(remaining[0].X))
+			for i, cd := range remaining {
+				copy(xs.RawRow(i), cd.X)
+			}
+			for i, p := range cur.PredictBatch(xs) {
+				remaining[i].Pred = p
+			}
 		}
 		sel := strategy.Select(remaining, rng)
 		if sel < 0 || sel >= len(remaining) {

@@ -218,7 +218,9 @@ func TestEMCMSerialParallelTracesIdentical(t *testing.T) {
 // the model. One point sits at every lane offset of a four-row block
 // and last in a ragged final block of one, two and three rows; every
 // copy must equal Predict at that point in Float64bits, on the dense,
-// sparse and auto tiers.
+// sparse and auto tiers. So must every row of a whole pool of 39 points,
+// which is what lets BatchSelect rescore its believer rounds with one
+// PredictBatch.
 func TestPredictBatchRowPurity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n = 24
@@ -249,6 +251,16 @@ func TestPredictBatchRowPurity(t *testing.T) {
 		}
 		if _, dense := UnwrapGP(model); dense != tier.wantDense {
 			t.Fatalf("%s: resolved dense = %v, want %v", tier.name, dense, tier.wantDense)
+		}
+		pool := mat.New(39, 3)
+		for i := 0; i < pool.Rows(); i++ {
+			copy(pool.RawRow(i), filler())
+		}
+		for i, got := range model.PredictBatch(pool) {
+			want := model.Predict(pool.RawRow(i))
+			if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) || math.Float64bits(got.SD) != math.Float64bits(want.SD) {
+				t.Fatalf("%s, pool row %d = %+v, Predict = %+v", tier.name, i, got, want)
+			}
 		}
 		want := model.Predict(p)
 		for tail := 1; tail <= 3; tail++ {
@@ -313,5 +325,75 @@ func TestPointIndexAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { newPointIndex(g) }); allocs > 5 {
 		t.Fatalf("newPointIndex allocated %v times, want at most 5", allocs)
+	}
+}
+
+// TestShareGrid: grids with the same bits share one matrix and one
+// point index while any holder is left, +0 and -0 stay apart, and the
+// entry leaves the table with its last reference.
+func TestShareGrid(t *testing.T) {
+	rows := [][]float64{{1, 2}, {0, 0}, {1, 2}, {0.5, 3}}
+	a := ShareGrid(mat.NewFromRows(rows))
+	b := ShareGrid(mat.NewFromRows(rows))
+	if a != b {
+		t.Fatal("two grids with the same bits were not shared")
+	}
+	if indexGrid(a) != indexGrid(b) {
+		t.Fatal("a shared grid was indexed twice")
+	}
+	rows[1][0] = math.Copysign(0, -1)
+	neg := ShareGrid(mat.NewFromRows(rows))
+	if neg == a {
+		t.Fatal("-0 shared a grid holding +0")
+	}
+	ReleaseGrid(neg)
+	ReleaseGrid(a)
+	rows[1][0] = 0
+	if c := ShareGrid(mat.NewFromRows(rows)); c != a {
+		t.Fatal("the grid left the table while a holder was left")
+	}
+	ReleaseGrid(a)
+	ReleaseGrid(b)
+	c := ShareGrid(mat.NewFromRows(rows))
+	defer ReleaseGrid(c)
+	if c == a {
+		t.Fatal("the grid stayed in the table after its last release")
+	}
+	if private := mat.NewFromRows(rows); indexGrid(private) == indexGrid(c) {
+		t.Fatal("a grid outside the table got the shared index")
+	}
+}
+
+// TestShareGridConcurrent shares, indexes and releases one grid from
+// several goroutines at once (run it under -race); every holder sees
+// one matrix and one index, and the grid leaves the table with the
+// last release.
+func TestShareGridConcurrent(t *testing.T) {
+	rows := [][]float64{{7, 1}, {7, 2}, {7, 1}}
+	first := ShareGrid(mat.NewFromRows(rows))
+	const holders = 8
+	got := make([]*mat.Dense, holders)
+	idx := make([]*pointIndex, holders)
+	var wg sync.WaitGroup
+	for i := 0; i < holders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = ShareGrid(mat.NewFromRows(rows))
+			idx[i] = indexGrid(got[i])
+			ReleaseGrid(got[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != first || idx[i] != idx[0] {
+			t.Fatalf("holder %d got its own grid or index", i)
+		}
+	}
+	ReleaseGrid(first)
+	again := ShareGrid(mat.NewFromRows(rows))
+	defer ReleaseGrid(again)
+	if again == first {
+		t.Fatal("the grid stayed in the table after its last release")
 	}
 }

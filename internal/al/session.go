@@ -70,13 +70,15 @@ type Session struct {
 	cs     *countingSource // position of a session-owned RNG, for checkpoints
 	fitter modelFitter
 	// points indexes the distinct points of candidates, built by the
-	// first scoring pass; the candidates determine it, so checkpoints
-	// leave it out.
+	// first scoring pass, or shared with every session on a grid of the
+	// ShareGrid table; the candidates determine it, so checkpoints leave
+	// it out.
 	points *pointIndex
-	// kstar caches k(p, x_j) for every distinct point p of the grid
-	// and training row j of a dense model's lineage, so a pass after a
-	// bordered update evaluates one new column (see predict). Memory
-	// only: checkpoints, snapshots and journals leave it out.
+	// kstar caches k(p, x_j) and V = L⁻¹K* for every distinct point p
+	// of the grid and training row j of a dense model's lineage, so a
+	// pass after a bordered update evaluates one new column and one new
+	// row of V (see predict). Memory only: checkpoints, snapshots and
+	// journals leave it out.
 	kstar *gp.KStar
 
 	// testX/testY is the held-out set behind each record's RMSE and
@@ -395,7 +397,7 @@ func (s *Session) askQueued() {
 // prediction depends only on its bits and the model (see Regressor).
 func (s *Session) score(workers int) []Candidate {
 	if s.points == nil {
-		s.points = newPointIndex(s.candidates)
+		s.points = indexGrid(s.candidates)
 	}
 	n := len(s.pool)
 	if s.pool == nil {
@@ -430,13 +432,14 @@ func (s *Session) score(workers int) []Candidate {
 // predict predicts the distinct points pts of the grid, bit-identical
 // to scorePool over their rows with the given workers. A dense model
 // (or an auto model resolved dense) is predicted from the session's
-// K* cache when the cache covers it, and a pass builds a new cache when
+// K*/V cache when the cache covers it, and a pass builds a new cache when
 // the next model update is scheduled to be incremental: then iterations
 // remain and this one is not a multiple of ReoptimizeEvery. The cache
 // is kept only for such an update; every other pass drops it, and one
 // the cache cannot serve goes through scorePool. The cache covers every
 // distinct point of the grid, indexed like s.points, and is split over
-// the workers as scorePool splits its rows.
+// the workers as scorePool splits its rows. A cached pass returns the
+// cache's own buffer, valid until the next pass.
 func (s *Session) predict(pts []int32, workers int) []gp.Prediction {
 	keep := s.iter%s.c.ReoptimizeEvery != 0 && s.iter < s.c.Iterations
 	g, dense := UnwrapGP(s.model)

@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -14,7 +15,9 @@ import (
 // factorization at other hyperparameters over the same rows, the
 // refactorize fallback of a degenerate border, and a sibling update
 // with a different point all rebuild them, and every prediction
-// matches PredictBatch bit for bit.
+// matches PredictBatch bit for bit. On a long chain V = L⁻¹K* grows one
+// row per update, several rows at once after unscored updates, and is
+// rebuilt on an ancestor of the cached model.
 func TestKStarFollowsLineage(t *testing.T) {
 	grid := mat.New(98, 2)
 	for r := 0; r < 98; r++ {
@@ -97,4 +100,33 @@ func TestKStarFollowsLineage(t *testing.T) {
 	}
 	check("refactorize fallback", dup, false)
 	check("after the fallback", up(dup, 12), true)
+
+	// A 60-update chain under a noise level that keeps every border
+	// positive, scored after every update.
+	cfg.NoiseInit, cfg.NoiseFloor = 0.05, 0.05
+	m, err := Fit(cfg, train, ys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("chain fit", m, false)
+	chain := []*GP{m}
+	next := 1
+	for len(chain) <= 60 {
+		if next%10 != 0 {
+			m = up(m, next)
+			chain = append(chain, m)
+			check(fmt.Sprintf("chain update %d", len(chain)-1), m, true)
+		}
+		next++
+	}
+	// Three updates without a pass in between: the next pass appends
+	// three rows of V in order.
+	for i := 0; i < 3; i++ {
+		m = up(m, next)
+		next++
+	}
+	check("three unscored updates", m, true)
+	// An ancestor has fewer training rows than the cache: rebuild.
+	check("ancestor", chain[30], false)
+	check("descendant of the ancestor", up(chain[30], 97), true)
 }

@@ -17,7 +17,8 @@ type Prediction struct {
 // CI returns the mean ± z·SD confidence interval bounds; z = 2 gives the
 // ~95% interval drawn in the paper's figures.
 func (p Prediction) CI(z float64) (lo, hi float64) {
-	return p.Mean - z*p.SD, p.Mean + z*p.SD
+	d := float64(z * p.SD)
+	return p.Mean - d, p.Mean + d
 }
 
 // Predict returns the posterior predictive mean and SD at x
@@ -31,15 +32,30 @@ func (g *GP) Predict(x []float64) Prediction {
 	for i := 0; i < n; i++ {
 		ks[i] = g.kern.Eval(x, g.x.RawRow(i))
 	}
-	mu := mat.Dot(ks, g.alpha)
+	var mu, vv float64
+	for j, a := range g.alpha {
+		mu += float64(ks[j] * a)
+	}
 	// σ*² via the Cholesky factor: v = L⁻¹k*, σ*² = k** − vᵀv.
-	v := g.chol.ForwardSubst(ks)
-	variance := g.kern.Eval(x, x) - mat.Dot(v, v)
+	g.chol.ForwardSubstInto(ks, ks)
+	for _, v := range ks {
+		vv += float64(v * v)
+	}
+	return g.prediction(mu, g.kern.Eval(x, x), vv)
+}
+
+// prediction finishes one prediction from μ = Σ k_j α_j, the prior
+// variance k(x, x) and vᵀv. Every product here and in the sums that
+// feed it is rounded on its own (float64(x*y)), so no target fuses it
+// into a multiply-add and Predict, PredictBatch and a KStar cache agree
+// bit for bit on every architecture.
+func (g *GP) prediction(mu, kss, vv float64) Prediction {
+	variance := kss - vv
 	if variance < 0 {
 		variance = 0 // numerical round-off guard
 	}
 	return Prediction{
-		Mean: g.yMean + g.yStd*mu,
+		Mean: g.yMean + float64(g.yStd*mu),
 		SD:   g.yStd * math.Sqrt(variance),
 	}
 }
@@ -92,28 +108,21 @@ func (g *GP) predictBlock(out []Prediction, ks []float64, kss *[4]float64) {
 	var mu, vv [4]float64
 	for j, a := range g.alpha {
 		k := (*[4]float64)(ks[4*j:])
-		mu[0] += k[0] * a
-		mu[1] += k[1] * a
-		mu[2] += k[2] * a
-		mu[3] += k[3] * a
+		mu[0] += float64(k[0] * a)
+		mu[1] += float64(k[1] * a)
+		mu[2] += float64(k[2] * a)
+		mu[3] += float64(k[3] * a)
 	}
 	g.chol.ForwardSubst4Into(ks, ks)
 	for j := range g.alpha {
 		v := (*[4]float64)(ks[4*j:])
-		vv[0] += v[0] * v[0]
-		vv[1] += v[1] * v[1]
-		vv[2] += v[2] * v[2]
-		vv[3] += v[3] * v[3]
+		vv[0] += float64(v[0] * v[0])
+		vv[1] += float64(v[1] * v[1])
+		vv[2] += float64(v[2] * v[2])
+		vv[3] += float64(v[3] * v[3])
 	}
 	for r := range out {
-		variance := kss[r] - vv[r]
-		if variance < 0 {
-			variance = 0
-		}
-		out[r] = Prediction{
-			Mean: g.yMean + g.yStd*mu[r],
-			SD:   g.yStd * math.Sqrt(variance),
-		}
+		out[r] = g.prediction(mu[r], kss[r], vv[r])
 	}
 }
 

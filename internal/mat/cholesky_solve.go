@@ -67,6 +67,34 @@ func (c *Cholesky) ForwardSubst4Into(dst, b []float64) {
 	}
 }
 
+// ForwardSubstRow computes row j of Y = L⁻¹B for right-hand sides held
+// row by row: b is row j of B, y[l] is row l of Y for every l < j, and
+// lane i of a row is its element i. It fills y[j][lo:hi] and reads only
+// lanes [lo, hi) of b and the earlier rows, so disjoint lane ranges may
+// run concurrently. Each lane performs exactly the operations of
+// ForwardSubstInto on row j — s -= L_jl·y_l in ascending l, then s/L_jj —
+// so after rows 0..j lane i of Y is bit-identical to ForwardSubstInto on
+// column i of B, however the rows were spread over calls.
+func (c *Cholesky) ForwardSubstRow(j int, y [][]float64, b []float64, lo, hi int) {
+	if j >= c.n || len(y) <= j || len(b) < hi || len(y[j]) < hi {
+		panic(fmt.Sprintf("mat: Cholesky ForwardSubstRow row %d of %d, lanes [%d,%d) of %d", j, c.n, lo, hi, len(b)))
+	}
+	row := c.row(j)
+	dst := y[j][lo:hi]
+	copy(dst, b[lo:hi])
+	for l, v := range row[:j] {
+		src := y[l][lo:hi]
+		src = src[:len(dst)]
+		for i := range dst {
+			dst[i] -= float64(v * src[i])
+		}
+	}
+	d := row[j]
+	for i := range dst {
+		dst[i] /= d
+	}
+}
+
 // ForwardSubstMat solves L·Y = B column by column.
 func (c *Cholesky) ForwardSubstMat(b *Dense) *Dense {
 	if b.rows != c.n {

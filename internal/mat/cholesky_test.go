@@ -306,6 +306,45 @@ func TestForwardSubst4IntoBitIdentical(t *testing.T) {
 	}
 }
 
+// TestForwardSubstRowBitIdentical requires the row-at-a-time solve to
+// equal ForwardSubstInto on every lane bit for bit, with its rows
+// computed over two lane ranges, on a well-conditioned and a badly
+// conditioned factor.
+func TestForwardSubstRowBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const lanes = 7
+	for _, n := range []int{1, 2, 17, 40} {
+		for _, a := range []*Dense{randomSPD(rng, n), gramSPD(rng, n, 1e-6)} {
+			p, err := NewCholesky(a)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			b := make([][]float64, n) // b[j][i]: element j of lane i
+			y := make([][]float64, n)
+			for j := range b {
+				b[j] = randVec(rng, lanes)
+				y[j] = make([]float64, lanes)
+			}
+			for j := 0; j < n; j++ {
+				p.ForwardSubstRow(j, y, b[j], 0, 3)
+				p.ForwardSubstRow(j, y, b[j], 3, lanes)
+			}
+			for i := 0; i < lanes; i++ {
+				lane := make(Vec, n)
+				for j := range lane {
+					lane[j] = b[j][i]
+				}
+				want := p.ForwardSubst(lane)
+				for j, w := range want {
+					if g := y[j][i]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("n=%d: lane %d row %d = %v, want %v", n, i, j, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCholeskyExtended checks the bordered update against a
 // from-scratch factorization of the (n+1)×(n+1) matrix.
 func TestCholeskyExtended(t *testing.T) {

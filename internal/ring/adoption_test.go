@@ -262,3 +262,64 @@ func TestFailoverRestoresShippedSnapshot(t *testing.T) {
 		t.Fatal("the adopting node replayed the journal instead of restoring its snapshot")
 	}
 }
+
+// TestReplicaImagesShareRows: the followers of two campaigns on one grid
+// hold the header's candidate rows once for the whole process, and still
+// render every replica image byte for byte: GET /internal/replica/{id}
+// equals the owner's Export, and so does the journal a follower adopts
+// from its own replica buffer.
+func TestReplicaImagesShareRows(t *testing.T) {
+	cl := startTestCluster(t, ClusterConfig{
+		Replicas:    3,
+		Replication: 3,
+		Router:      testRouterCfg(),
+	})
+	client := &http.Client{}
+	m := cl.Router().Membership()
+	images := map[string][]byte{}
+	var ids []string
+	for _, seed := range []int64{101, 102} {
+		id := createCampaign(t, client, cl.URL(), clientSpec(seed))
+		driveHTTP(t, client, cl.URL(), id, 3)
+		walk := m.ring(0).OwnerN(id, 3)
+		images[id] = waitReplicasConverged(t, cl, client, id, walk[0], walk[1:])
+		ids = append(ids, id)
+	}
+
+	var shared *rowRun
+	for _, id := range ids {
+		for _, f := range m.ring(0).OwnerN(id, 3)[1:] {
+			n := cl.Node(f)
+			n.mu.Lock()
+			rep := n.replicas[id]
+			n.mu.Unlock()
+			if rep == nil || rep.rows == nil {
+				t.Fatalf("campaign %s: follower %s holds no shared candidate rows", id, f)
+			}
+			if shared == nil {
+				shared = rep.rows
+			}
+			if rep.rows != shared {
+				t.Fatalf("campaign %s: follower %s holds its own copy of the candidate rows", id, f)
+			}
+		}
+	}
+
+	// Adopt from the local buffer, as a follower does when the router
+	// reaches no replica: kill the owner and post an empty body.
+	id := ids[0]
+	walk := m.ring(0).OwnerN(id, 3)
+	if err := cl.Kill(walk[0]); err != nil {
+		t.Fatalf("kill %s: %v", walk[0], err)
+	}
+	if code, err := httpJSON(client, http.MethodPost, cl.NodeURL(walk[1])+"/internal/adopt/"+id, "", nil, nil); err != nil || code != http.StatusOK {
+		t.Fatalf("adopt on %s: HTTP %d, err %v", walk[1], code, err)
+	}
+	resp, err := client.Get(cl.NodeURL(walk[1]) + "/internal/export/" + id)
+	if err != nil {
+		t.Fatalf("export from %s: %v", walk[1], err)
+	}
+	if got := readAllBody(t, resp); !bytes.Equal(got, images[id]) {
+		t.Fatalf("campaign %s: adopted journal differs from the owner's export:\n%q\nwant\n%q", id, got, images[id])
+	}
+}

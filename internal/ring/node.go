@@ -3,6 +3,7 @@ package ring
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,13 +95,6 @@ type Node struct {
 	// manager so an in-process "kill" leaks nothing to the followers
 	// that a real process death would not have sent.
 	dead atomic.Bool
-}
-
-// replica is the follower-side buffer for one campaign: the shipped
-// journal bytes plus the count of complete records received.
-type replica struct {
-	buf   []byte
-	count int
 }
 
 // NewNode builds a node. Call Manager().ResumeAll() after the cluster's
@@ -284,6 +278,9 @@ func (n *Node) handleReconcile(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mu.Lock()
 	cleared := len(n.replicas)
+	for _, rep := range n.replicas {
+		rep.drop()
+	}
 	n.replicas = make(map[string]*replica)
 	n.mu.Unlock()
 	obs.Emit("ring.reconcile", map[string]any{
@@ -300,6 +297,17 @@ func (n *Node) handleReconcile(w http.ResponseWriter, r *http.Request) {
 type shipRequest struct {
 	Idx  int    `json:"idx"`
 	Line []byte `json:"line"`
+}
+
+// shipBody renders the JSON of shipRequest{idx, line} byte for byte as
+// json.Marshal does ("line" in standard base64) into a buffer of its
+// own. json.Marshal would leave the buffer that grew to the size of a
+// campaign's header line in its process-wide encoder pool.
+func shipBody(idx int, line []byte) []byte {
+	body := make([]byte, 0, len(`{"idx":,"line":""}`)+20+base64.StdEncoding.EncodedLen(len(line)))
+	body = strconv.AppendInt(append(body, `{"idx":`...), int64(idx), 10)
+	body = base64.StdEncoding.AppendEncode(append(body, `,"line":"`...), line)
+	return append(body, `"}`...)
 }
 
 // handleShip receives one journal record at index Idx. Dedup and gap
@@ -325,14 +333,16 @@ func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusConflict, map[string]any{"error": "ring: no replica for campaign", "count": 0})
 			return
 		}
-		rep = &replica{}
+		rep = newReplica(req.Line, 1)
 		n.replicas[id] = rep
+		writeJSON(w, http.StatusOK, map[string]int{"count": rep.count})
+		return
 	}
 	switch {
 	case req.Idx < rep.count:
 		ringShipDedup.Inc()
 	case req.Idx == rep.count:
-		rep.buf = append(rep.buf, req.Line...)
+		rep.tail = append(rep.tail, req.Line...)
 		rep.count++
 	default:
 		writeJSON(w, http.StatusConflict, map[string]any{"error": "ring: ship index gap", "count": rep.count})
@@ -356,7 +366,10 @@ func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	}
 	count := bytes.Count(data, []byte("\n"))
 	n.mu.Lock()
-	n.replicas[id] = &replica{buf: data, count: count}
+	if old := n.replicas[id]; old != nil {
+		old.drop()
+	}
+	n.replicas[id] = newReplica(data, count)
 	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]int{"count": count})
 }
@@ -366,7 +379,7 @@ func (n *Node) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 	rep := n.replicas[r.PathValue("id")]
 	var buf []byte
 	if rep != nil {
-		buf = bytes.Clone(rep.buf)
+		buf = rep.image()
 	}
 	n.mu.Unlock()
 	if buf == nil {
@@ -377,9 +390,17 @@ func (n *Node) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf)
 }
 
+// dropReplica forgets the replica of campaign id. The caller holds n.mu.
+func (n *Node) dropReplica(id string) {
+	if rep := n.replicas[id]; rep != nil {
+		rep.drop()
+		delete(n.replicas, id)
+	}
+}
+
 func (n *Node) handleReplicaDel(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
-	delete(n.replicas, r.PathValue("id"))
+	n.dropReplica(r.PathValue("id"))
 	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]string{"removed": r.PathValue("id")})
 }
@@ -429,7 +450,7 @@ func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	if len(data) == 0 {
 		n.mu.Lock()
 		if rep := n.replicas[id]; rep != nil {
-			data = bytes.Clone(rep.buf)
+			data = rep.image()
 		}
 		n.mu.Unlock()
 	}
@@ -444,7 +465,7 @@ func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	// The buffer has been promoted to primary; drop the replica entry so
 	// this node does not hold both roles for the campaign.
 	n.mu.Lock()
-	delete(n.replicas, id)
+	n.dropReplica(id)
 	n.mu.Unlock()
 	if err := n.mgr.ResumeOne(id); err != nil {
 		writeNodeErr(w, err)
@@ -545,10 +566,11 @@ func (s *shippingStore) Create(id string, spec serve.CampaignSpec) (serve.Append
 		return nil, err
 	}
 	sa := &shippingAppender{node: s.node, id: id, local: app, idx: 1, needSync: make(map[string]bool)}
-	// Establish each replica with the header line (record 0). A failure
-	// is not fatal — the first observation's ship gap-heals that
+	// Establish each replica with the header line (record 0): the
+	// bytes the store just wrote, which are all its journal holds yet. A
+	// failure is not fatal — the first observation's ship gap-heals that
 	// follower with a full sync.
-	if line, err := serve.EncodeJournalHeader(id, spec); err == nil {
+	if line, err := s.inner.Export(id); err == nil {
 		for _, f := range s.node.followerList(id) {
 			if err := sa.ship(f.URL, line, 0); err != nil {
 				sa.needSync[f.ID] = true
@@ -677,10 +699,7 @@ func (a *shippingAppender) shipOne(f Member, line []byte) error {
 
 // ship POSTs one record line at index idx to a follower's base URL.
 func (a *shippingAppender) ship(folURL string, line []byte, idx int) error {
-	body, err := json.Marshal(shipRequest{Idx: idx, Line: line})
-	if err != nil {
-		return err
-	}
+	body := shipBody(idx, line)
 	ctx, cancel := context.WithTimeout(context.Background(), a.node.shipTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, folURL+"/internal/ship/"+a.id, bytes.NewReader(body))

@@ -96,6 +96,9 @@ type Campaign struct {
 	jw       Appender
 	jbreaker *resilience.Breaker
 
+	// cands is the candidate grid, shared through al.ShareGrid with
+	// every campaign of the process on the same grid; the actor gives
+	// its reference back on exit.
 	cands    *mat.Dense
 	response string
 	ds       *dataset.Dataset // nil for client-sourced campaigns
@@ -140,7 +143,7 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 	}
 	switch spec.Source {
 	case "client":
-		c.cands = mat.NewFromRows(spec.Candidates)
+		c.cands = al.ShareGrid(mat.NewFromRows(spec.Candidates))
 		c.response = "y"
 		c.Spec.Candidates = nil
 	case "dataset":
@@ -154,7 +157,7 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 		}
 		c.ds = ds
 		c.response = response
-		c.cands = ds.Matrix(all)
+		c.cands = al.ShareGrid(ds.Matrix(all))
 		c.rows = make(map[string]int, ds.Len())
 		for i := ds.Len() - 1; i >= 0; i-- {
 			// First matching row wins on duplicate inputs, so lookup is
@@ -190,6 +193,7 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 	}
 	cfg, err := c.Spec.loopConfig(c.response)
 	if err != nil {
+		al.ReleaseGrid(c.cands)
 		return nil, err
 	}
 	cfg.OnModel = func(m al.Regressor) {
@@ -199,6 +203,7 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 	// A nil rng: the session owns a counting RNG seeded from Spec.Seed,
 	// so its snapshots can record the stream position.
 	if st.sess, err = al.NewSession(c.cands, c.Spec.Seeds, cfg, nil); err != nil {
+		al.ReleaseGrid(c.cands)
 		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
 	go c.actor(st, cfg, info)
@@ -215,6 +220,7 @@ func (c *Campaign) actor(st *campaignState, cfg al.LoopConfig, info *JournalInfo
 		if c.jw != nil {
 			c.jw.Close()
 		}
+		al.ReleaseGrid(c.cands)
 	}()
 	if info != nil {
 		c.restore(st, cfg, info.Snapshots)

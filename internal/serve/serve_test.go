@@ -810,3 +810,37 @@ func TestHTTPErrorMapping(t *testing.T) {
 }
 
 func prediction(mean float64) gp.Prediction { return gp.Prediction{Mean: mean} }
+
+// TestCampaignsShareGrid: two campaigns on one candidate grid hold one
+// shared matrix, and the grid leaves the process-wide table once both
+// have closed.
+func TestCampaignsShareGrid(t *testing.T) {
+	defer checkLeaked(t)
+	grid := append(testGrid(), []float64{3.25}) // a grid no other test uses
+	mgr := NewManager(Config{})
+	defer mgr.Shutdown(context.Background())
+	var cs []*Campaign
+	for seed := int64(1); seed <= 2; seed++ {
+		spec := clientSpec(seed)
+		spec.Candidates = grid
+		c, err := mgr.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+	}
+	if cs[0].cands != cs[1].cands {
+		t.Fatal("two campaigns on one grid hold two matrices")
+	}
+	for _, c := range cs {
+		if err := mgr.Release(c.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkLeaked(t) // both actors have exited
+	probe := al.ShareGrid(mat.NewFromRows(grid))
+	defer al.ReleaseGrid(probe)
+	if probe == cs[0].cands {
+		t.Fatal("the grid is still shared after both campaigns closed")
+	}
+}

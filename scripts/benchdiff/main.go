@@ -25,11 +25,13 @@
 // Absolute allocation figures are gated too: the baseline's max_b_op
 // maps a benchmark name to its B/op ceiling (defaults in defaultMaxBOp).
 // Go reports allocations deterministically for deterministic code, so
-// these are not noisy timing gates.
+// these are not noisy timing gates. max_retained does the same for the
+// live heap a benchmark reports as retained_B/campaign (defaults in
+// defaultMaxRetained).
 //
 // Usage:
 //
-//	go test -run='^$' -bench 'BenchmarkALIteration|BenchmarkALLoop|BenchmarkGPHyperopt|BenchmarkGPPredictBatch|BenchmarkSessionStepGrid' -benchtime=1x . > bench.txt
+//	go test -run='^$' -bench 'BenchmarkALIteration|BenchmarkALLoop|BenchmarkGPHyperopt|BenchmarkGPPredictBatch|BenchmarkSessionStepGrid|BenchmarkGPScoreIncremental|BenchmarkRetainedHeap' -benchtime=1x . > bench.txt
 //	go run ./scripts/benchdiff -baseline BENCH_baseline.json bench.txt   # compare
 //	go run ./scripts/benchdiff -baseline BENCH_baseline.json -update bench.txt  # record
 package main
@@ -61,19 +63,32 @@ var guardedMetrics = []string{"gp_fits/op", "cholesky/op", "cand_evals/op", "lml
 //     LML evaluations of a fit shared one workspace;
 //   - BenchmarkGPPredictBatch: 15% of the 893,245 B/op recorded while
 //     PredictBatch built the full m×n cross-covariance;
-//   - BenchmarkSessionStepGrid: the 288,286 B/op recorded while a step
-//     predicted every row of the grid, repeats included;
-//   - BenchmarkGPScoreIncremental/cached: about 1.2× the 33,136 B/op
-//     recorded when the K* cache landed (the bordered update, one new
-//     7,920 B column, the predictions and a 4n scratch), far below the
-//     253,440 B a pass that re-evaluated all 32 columns would allocate.
+//   - BenchmarkSessionStepGrid: about 2% over the 199,992 B/op
+//     recorded when the score cache began to keep V = L⁻¹K* and its
+//     predictions buffer, below the 209,000 B/op of the K* cache alone
+//     and the 288,286 B/op of a step that predicted every row of the
+//     grid, repeats included;
+//   - BenchmarkGPScoreIncremental/cached: about 1.05× the 23,920 B/op
+//     recorded then (the bordered update and one new 15,840 B row of
+//     K* and V), against 33,136 B/op for the K* cache alone, which
+//     allocated the predictions and a 4n scratch on every pass.
 var defaultMaxBOp = map[string]float64{
 	"BenchmarkALLoop/incremental":        1291402,
 	"BenchmarkALLoop/refit":              3713002,
 	"BenchmarkGPHyperopt":                495938,
 	"BenchmarkGPPredictBatch":            133987,
-	"BenchmarkSessionStepGrid":           288286,
-	"BenchmarkGPScoreIncremental/cached": 40000,
+	"BenchmarkSessionStepGrid":           204000,
+	"BenchmarkGPScoreIncremental/cached": 25000,
+}
+
+// defaultMaxRetained holds the retained_B/campaign ceilings -update
+// records:
+//   - BenchmarkRetainedHeap: about 3% over the 775,000 B a parked
+//     campaign retained once the K*/V score cache, the shared grid table
+//     and the shared replica rows landed, and below the 821,000 B it
+//     retained before them with the K* cache alone.
+var defaultMaxRetained = map[string]float64{
+	"BenchmarkRetainedHeap": 800000,
 }
 
 // benchResult holds every `value unit` metric pair reported on one
@@ -88,6 +103,7 @@ type baselineFile struct {
 	MinSpeedup       float64                `json:"min_alloop_speedup"`
 	MinSparseSpeedup float64                `json:"min_sparse_speedup"`
 	MaxBOp           map[string]float64     `json:"max_b_op"`
+	MaxRetained      map[string]float64     `json:"max_retained"`
 	Benchmarks       map[string]benchResult `json:"benchmarks"`
 }
 
@@ -177,10 +193,11 @@ func checkSparseSpeedup(results map[string]benchResult, minSpeedup float64) erro
 	return checkRatio(results, "BenchmarkALLoop/dense_n2048", "BenchmarkALLoop/sparse_n2048", minSpeedup)
 }
 
-// checkMaxBytes enforces the absolute B/op ceilings. A benchmark absent
+// checkCeilings enforces absolute ceilings on one metric (unit): B/op
+// for max_b_op, retained_B/campaign for max_retained. A benchmark absent
 // from this run is skipped; compare reports baseline benchmarks missing
 // from the output.
-func checkMaxBytes(results map[string]benchResult, ceilings map[string]float64) error {
+func checkCeilings(results map[string]benchResult, ceilings map[string]float64, unit string) error {
 	names := make([]string, 0, len(ceilings))
 	for name := range ceilings {
 		names = append(names, name)
@@ -191,14 +208,14 @@ func checkMaxBytes(results map[string]benchResult, ceilings map[string]float64) 
 		if !ok {
 			continue
 		}
-		got, ok := res["B/op"]
+		got, ok := res[unit]
 		if !ok {
-			return fmt.Errorf("%s reported no B/op (run with -benchmem or b.ReportAllocs)", name)
+			return fmt.Errorf("%s reported no %s", name, unit)
 		}
 		if got > ceilings[name] {
-			return fmt.Errorf("%s allocates %.0f B/op > ceiling %.0f B/op", name, got, ceilings[name])
+			return fmt.Errorf("%s reports %.0f %s > ceiling %.0f", name, got, unit, ceilings[name])
 		}
-		fmt.Printf("ok\t%s %.0f B/op (ceiling %.0f)\n", name, got, ceilings[name])
+		fmt.Printf("ok\t%s %.0f %s (ceiling %.0f)\n", name, got, unit, ceilings[name])
 	}
 	return nil
 }
@@ -248,11 +265,13 @@ func writeBaseline(path string, results map[string]benchResult, minSpeedup, minS
 		Note: "Deterministic work counts per benchmark op, recorded by scripts/benchdiff -update. " +
 			"CI fails if a guarded metric (" + strings.Join(guardedMetrics, ", ") + ") " +
 			"rises more than the tolerance, if the ALLoop refit/incremental or dense_n2048/sparse_n2048 " +
-			"speedup drops below its floor, or if a benchmark's B/op exceeds its max_b_op ceiling. " +
+			"speedup drops below its floor, or if a benchmark's B/op exceeds its max_b_op ceiling " +
+			"or its retained_B/campaign its max_retained ceiling. " +
 			"Other ns/op and allocation figures are informational only.",
 		MinSpeedup:       minSpeedup,
 		MinSparseSpeedup: minSparse,
 		MaxBOp:           defaultMaxBOp,
+		MaxRetained:      defaultMaxRetained,
 		Benchmarks:       results,
 	}
 	buf, err := json.MarshalIndent(&base, "", "  ")
@@ -283,7 +302,8 @@ func main() {
 	for _, err := range []error{
 		checkSpeedup(results, *minSpeedup),
 		checkSparseSpeedup(results, *minSparse),
-		checkMaxBytes(results, defaultMaxBOp),
+		checkCeilings(results, defaultMaxBOp, "B/op"),
+		checkCeilings(results, defaultMaxRetained, "retained_B/campaign"),
 	} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "FAIL\t"+err.Error())
@@ -325,7 +345,13 @@ func main() {
 		}
 	}
 	if !maps.Equal(base.MaxBOp, defaultMaxBOp) {
-		if err := checkMaxBytes(results, base.MaxBOp); err != nil {
+		if err := checkCeilings(results, base.MaxBOp, "B/op"); err != nil {
+			fmt.Fprintln(os.Stderr, "FAIL\t"+err.Error())
+			os.Exit(1)
+		}
+	}
+	if !maps.Equal(base.MaxRetained, defaultMaxRetained) {
+		if err := checkCeilings(results, base.MaxRetained, "retained_B/campaign"); err != nil {
 			fmt.Fprintln(os.Stderr, "FAIL\t"+err.Error())
 			os.Exit(1)
 		}

@@ -217,12 +217,12 @@ func TestMaxBytesCeilings(t *testing.T) {
 				"BenchmarkALLoop/incremental": {"B/op": 10},
 				"BenchmarkGPHyperopt":         {"B/op": 501},
 			},
-			wantErr: "BenchmarkGPHyperopt allocates 501 B/op > ceiling 500",
+			wantErr: "BenchmarkGPHyperopt reports 501 B/op > ceiling 500",
 		},
 		{
 			name:    "incremental over its ceiling",
 			results: map[string]benchResult{"BenchmarkALLoop/incremental": {"B/op": 2000}},
-			wantErr: "BenchmarkALLoop/incremental allocates 2000 B/op",
+			wantErr: "BenchmarkALLoop/incremental reports 2000 B/op",
 		},
 		{
 			name:    "B/op not reported",
@@ -232,7 +232,7 @@ func TestMaxBytesCeilings(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkMaxBytes(tc.results, ceilings)
+			err := checkCeilings(tc.results, ceilings, "B/op")
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatal(err)
@@ -243,6 +243,20 @@ func TestMaxBytesCeilings(t *testing.T) {
 				t.Fatalf("err = %v, want it to mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestRetainedCeiling: the max_retained check reads retained_B/campaign,
+// not B/op.
+func TestRetainedCeiling(t *testing.T) {
+	ceilings := map[string]float64{"BenchmarkRetainedHeap": 1000}
+	ok := map[string]benchResult{"BenchmarkRetainedHeap": {"B/op": 5000, "retained_B/campaign": 900}}
+	if err := checkCeilings(ok, ceilings, "retained_B/campaign"); err != nil {
+		t.Fatal(err)
+	}
+	over := map[string]benchResult{"BenchmarkRetainedHeap": {"B/op": 5, "retained_B/campaign": 1001}}
+	if err := checkCeilings(over, ceilings, "retained_B/campaign"); err == nil || !strings.Contains(err.Error(), "1001 retained_B/campaign > ceiling 1000") {
+		t.Fatalf("err = %v, want the retained ceiling exceeded", err)
 	}
 }
 
@@ -261,12 +275,18 @@ func TestCommittedBaselineCeilings(t *testing.T) {
 	if len(base.MaxBOp) != len(defaultMaxBOp) {
 		t.Fatalf("baseline max_b_op %v, defaults %v", base.MaxBOp, defaultMaxBOp)
 	}
-	for name, want := range defaultMaxBOp {
-		if base.MaxBOp[name] != want {
-			t.Fatalf("baseline max_b_op[%s] = %v, default %v", name, base.MaxBOp[name], want)
-		}
-		if _, ok := base.Benchmarks[name]; !ok {
-			t.Fatalf("ceiling for %s, which the baseline does not record", name)
+	if len(base.MaxRetained) != len(defaultMaxRetained) {
+		t.Fatalf("baseline max_retained %v, defaults %v", base.MaxRetained, defaultMaxRetained)
+	}
+	for key, defaults := range map[string]map[string]float64{"max_b_op": defaultMaxBOp, "max_retained": defaultMaxRetained} {
+		committed := map[string]map[string]float64{"max_b_op": base.MaxBOp, "max_retained": base.MaxRetained}[key]
+		for name, want := range defaults {
+			if committed[name] != want {
+				t.Fatalf("baseline %s[%s] = %v, default %v", key, name, committed[name], want)
+			}
+			if _, ok := base.Benchmarks[name]; !ok {
+				t.Fatalf("ceiling for %s, which the baseline does not record", name)
+			}
 		}
 	}
 }
