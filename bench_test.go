@@ -729,6 +729,13 @@ func resumeToEnd(b *testing.B, id string, journal []byte) {
 // replicas. Unlike a heap reading taken mid-run, it moves only with
 // the code. scripts/benchdiff gates it against max_retained.
 //
+// /shared puts every campaign on one grid, as cluster-observe does, so
+// they share one grid matrix and point index (al.ShareGrid) and the
+// followers one copy of its candidate rows. /distinct gives each
+// campaign the grid's rows in an order of its own, so nothing is shared
+// between campaigns; only the two followers of one campaign, being in
+// one process here, still hold its candidate rows once.
+//
 //	go test -run '^$' -bench BenchmarkRetainedHeap -benchtime 1x .
 func BenchmarkRetainedHeap(b *testing.B) {
 	const k, steps = 4, 32
@@ -754,33 +761,48 @@ func BenchmarkRetainedHeap(b *testing.B) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	// park runs k campaigns on a fresh ring and returns the live heap
-	// they retain in all.
-	park := func(k int) uint64 {
-		cl, err := ring.StartCluster(ring.ClusterConfig{Replicas: 3, Replication: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		rng := rand.New(rand.NewSource(1))
-		before := liveHeap()
-		for c := 0; c < k; c++ {
-			spec := serve.CampaignSpec{
-				Source: "client", Candidates: cands, Seeds: rng.Perm(len(cands))[:2],
-				Strategy: []string{"variance-reduction", "cost-efficiency"}[c%2], Iterations: 60,
-				ReoptimizeEvery: 61, Seed: int64(c + 1),
+	for _, distinct := range []bool{false, true} {
+		grids := make([][][]float64, k)
+		for c := range grids {
+			grids[c] = cands
+			if distinct {
+				order := rand.New(rand.NewSource(int64(c + 1))).Perm(len(cands))
+				grids[c] = make([][]float64, len(cands))
+				for i, r := range order {
+					grids[c][i] = cands[r]
+				}
 			}
-			parkCampaign(b, cl, spec, answer, steps)
 		}
-		return liveHeap() - before
-	}
-	// A first round fills the process-wide caches a later round finds
-	// (encoder tables, metric registries), so that a single op reads
-	// what every later one does.
-	park(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(float64(park(k))/k, "retained_B/campaign")
+		// park runs n campaigns on a fresh ring and returns the live
+		// heap they retain in all.
+		park := func(n int) uint64 {
+			cl, err := ring.StartCluster(ring.ClusterConfig{Replicas: 3, Replication: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			rng := rand.New(rand.NewSource(1))
+			before := liveHeap()
+			for c := 0; c < n; c++ {
+				spec := serve.CampaignSpec{
+					Source: "client", Candidates: grids[c], Seeds: rng.Perm(len(cands))[:2],
+					Strategy: []string{"variance-reduction", "cost-efficiency"}[c%2], Iterations: 60,
+					ReoptimizeEvery: 61, Seed: int64(c + 1),
+				}
+				parkCampaign(b, cl, spec, answer, steps)
+			}
+			return liveHeap() - before
+		}
+		b.Run(map[bool]string{false: "shared", true: "distinct"}[distinct], func(b *testing.B) {
+			// A first round fills the process-wide caches a later round
+			// finds (encoder tables, metric registries), so that a single
+			// op reads what every later one does.
+			park(2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.ReportMetric(float64(park(k))/k, "retained_B/campaign")
+			}
+		})
 	}
 }
 

@@ -1,93 +1,59 @@
 package al
 
 import (
-	"slices"
 	"sync"
 
+	"repro/internal/intern"
 	"repro/internal/mat"
 	"repro/internal/obs"
 )
 
 // Grid-table metrics (see OBSERVABILITY.md).
 var (
-	gridEntries = obs.G("al.grid.entries")
-	gridHits    = obs.C("al.grid.hits")
+	gridHits = obs.C("al.grid.hits")
+	grids    = intern.New[*Grid](obs.G("al.grid.entries"))
 )
 
-// sharedGrid is one entry of the process-wide grid table: an immutable
-// candidate grid, the number of holders, and its pointIndex, built once
-// by the first session that scores it.
-type sharedGrid struct {
-	x      *mat.Dense
-	digest uint64
-	refs   int
+// Grid is a candidate grid of the process-wide grid table: one
+// immutable matrix, shared by every holder of a grid with its bits, and
+// the index of its distinct points, built once for all of them.
+type Grid struct {
+	X      *mat.Dense
+	sum    uint64
 	once   sync.Once
 	points *pointIndex
 }
 
-// grids is the process-wide grid table. It finds an entry by the digest
-// of a grid's bits (byDigest, compared bit for bit on a hit) or by the
-// shared matrix itself (byX).
-var grids = struct {
-	sync.Mutex
-	byDigest map[uint64][]*sharedGrid
-	byX      map[*mat.Dense]*sharedGrid
-}{byDigest: map[uint64][]*sharedGrid{}, byX: map[*mat.Dense]*sharedGrid{}}
-
-// ShareGrid returns the process-wide candidate grid with the bits of m
-// and takes one reference to it: the copy the table already holds, or m
-// itself when it holds none. Sessions on the returned grid share one
-// index of its distinct points. Neither m nor the returned grid may be
-// mutated afterwards; ReleaseGrid gives the reference back.
-func ShareGrid(m *mat.Dense) *mat.Dense {
-	d := hashBits(m.Raw())
-	grids.Lock()
-	defer grids.Unlock()
-	for _, e := range grids.byDigest[d] {
-		if e.x.Rows() == m.Rows() && e.x.Cols() == m.Cols() && sameBits(e.x.Raw(), m.Raw()) {
-			e.refs++
-			gridHits.Inc()
-			return e.x
-		}
+// ShareGrid returns the grid of the table with the bits of m and takes
+// one reference to it: the one the table already holds, or one on m
+// itself when it holds none. Neither m nor the grid's X may be mutated
+// afterwards; Release gives the reference back.
+func ShareGrid(m *mat.Dense) *Grid {
+	sum := hashBits(m.Raw())
+	g, hit := grids.Get(sum, func(g *Grid) bool {
+		return g.X.Rows() == m.Rows() && g.X.Cols() == m.Cols() && sameBits(g.X.Raw(), m.Raw())
+	}, func() *Grid { return &Grid{X: m, sum: sum} })
+	if hit {
+		gridHits.Inc()
 	}
-	e := &sharedGrid{x: m, digest: d, refs: 1}
-	grids.byDigest[d] = append(grids.byDigest[d], e)
-	grids.byX[m] = e
-	gridEntries.Set(float64(len(grids.byX)))
-	return m
+	return g
 }
 
-// ReleaseGrid gives back one reference ShareGrid returned; the entry
-// leaves the table with its last reference. Other grids are ignored.
-func ReleaseGrid(x *mat.Dense) {
-	grids.Lock()
-	defer grids.Unlock()
-	e := grids.byX[x]
-	if e == nil {
-		return
-	}
-	if e.refs--; e.refs > 0 {
-		return
-	}
-	delete(grids.byX, x)
-	list := slices.DeleteFunc(grids.byDigest[e.digest], func(o *sharedGrid) bool { return o == e })
-	if len(list) == 0 {
-		delete(grids.byDigest, e.digest)
-	} else {
-		grids.byDigest[e.digest] = list
-	}
-	gridEntries.Set(float64(len(grids.byX)))
+// Release gives back one reference ShareGrid returned; the grid leaves
+// the table with its last.
+func (g *Grid) Release() { grids.Release(g.sum, g) }
+
+// index returns the point index of the grid, building it on first use.
+func (g *Grid) index() *pointIndex {
+	g.once.Do(func() { g.points = newPointIndex(g.X) })
+	return g.points
 }
 
-// indexGrid returns the point index of candidates: the shared one when
-// candidates is a grid of the table, a new one otherwise.
-func indexGrid(candidates *mat.Dense) *pointIndex {
-	grids.Lock()
-	e := grids.byX[candidates]
-	grids.Unlock()
-	if e == nil {
-		return newPointIndex(candidates)
+// UseGrid has the session take the point index of its candidates from
+// g, the shared grid they are, instead of building one of its own.
+func (s *Session) UseGrid(g *Grid) {
+	if g.X != s.candidates {
+		panic("al: UseGrid on a grid other than the session's candidates")
 	}
-	e.once.Do(func() { e.points = newPointIndex(e.x) })
-	return e.points
+	s.points = g.index()
 }

@@ -338,7 +338,7 @@ func TestShareGrid(t *testing.T) {
 	if a != b {
 		t.Fatal("two grids with the same bits were not shared")
 	}
-	if indexGrid(a) != indexGrid(b) {
+	if a.index() != b.index() {
 		t.Fatal("a shared grid was indexed twice")
 	}
 	rows[1][0] = math.Copysign(0, -1)
@@ -346,33 +346,30 @@ func TestShareGrid(t *testing.T) {
 	if neg == a {
 		t.Fatal("-0 shared a grid holding +0")
 	}
-	ReleaseGrid(neg)
-	ReleaseGrid(a)
+	neg.Release()
+	a.Release()
 	rows[1][0] = 0
 	if c := ShareGrid(mat.NewFromRows(rows)); c != a {
 		t.Fatal("the grid left the table while a holder was left")
 	}
-	ReleaseGrid(a)
-	ReleaseGrid(b)
+	a.Release()
+	b.Release()
 	c := ShareGrid(mat.NewFromRows(rows))
-	defer ReleaseGrid(c)
+	defer c.Release()
 	if c == a {
 		t.Fatal("the grid stayed in the table after its last release")
-	}
-	if private := mat.NewFromRows(rows); indexGrid(private) == indexGrid(c) {
-		t.Fatal("a grid outside the table got the shared index")
 	}
 }
 
 // TestShareGridConcurrent shares, indexes and releases one grid from
 // several goroutines at once (run it under -race); every holder sees
-// one matrix and one index, and the grid leaves the table with the
-// last release.
+// one grid and one index.
 func TestShareGridConcurrent(t *testing.T) {
 	rows := [][]float64{{7, 1}, {7, 2}, {7, 1}}
 	first := ShareGrid(mat.NewFromRows(rows))
+	defer first.Release()
 	const holders = 8
-	got := make([]*mat.Dense, holders)
+	got := make([]*Grid, holders)
 	idx := make([]*pointIndex, holders)
 	var wg sync.WaitGroup
 	for i := 0; i < holders; i++ {
@@ -380,8 +377,8 @@ func TestShareGridConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			got[i] = ShareGrid(mat.NewFromRows(rows))
-			idx[i] = indexGrid(got[i])
-			ReleaseGrid(got[i])
+			idx[i] = got[i].index()
+			got[i].Release()
 		}(i)
 	}
 	wg.Wait()
@@ -389,11 +386,5 @@ func TestShareGridConcurrent(t *testing.T) {
 		if got[i] != first || idx[i] != idx[0] {
 			t.Fatalf("holder %d got its own grid or index", i)
 		}
-	}
-	ReleaseGrid(first)
-	again := ShareGrid(mat.NewFromRows(rows))
-	defer ReleaseGrid(again)
-	if again == first {
-		t.Fatal("the grid stayed in the table after its last release")
 	}
 }

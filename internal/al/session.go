@@ -70,9 +70,8 @@ type Session struct {
 	cs     *countingSource // position of a session-owned RNG, for checkpoints
 	fitter modelFitter
 	// points indexes the distinct points of candidates, built by the
-	// first scoring pass, or shared with every session on a grid of the
-	// ShareGrid table; the candidates determine it, so checkpoints leave
-	// it out.
+	// first scoring pass or taken from a shared Grid (UseGrid); the
+	// candidates determine it, so checkpoints leave it out.
 	points *pointIndex
 	// kstar caches k(p, x_j) and V = L⁻¹K* for every distinct point p
 	// of the grid and training row j of a dense model's lineage, so a
@@ -397,7 +396,7 @@ func (s *Session) askQueued() {
 // prediction depends only on its bits and the model (see Regressor).
 func (s *Session) score(workers int) []Candidate {
 	if s.points == nil {
-		s.points = indexGrid(s.candidates)
+		s.points = newPointIndex(s.candidates)
 	}
 	n := len(s.pool)
 	if s.pool == nil {

@@ -106,6 +106,19 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
+// Prediction is the posterior predictive distribution at one input point
+// (paper Eqs. 4–6): Gaussian with the given mean and standard deviation.
+type Prediction struct {
+	Mean float64
+	SD   float64 // standard deviation of the latent function posterior
+}
+
+// CI returns the mean ± z·SD confidence interval bounds; z = 2 gives the
+// ~95% interval drawn in the paper's figures.
+func (p Prediction) CI(z float64) (lo, hi float64) {
+	return p.Mean - z*p.SD, p.Mean + z*p.SD
+}
+
 // GP is a fitted Gaussian process regressor.
 type GP struct {
 	cfg  Config

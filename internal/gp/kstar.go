@@ -23,6 +23,11 @@ import (
 // over the training rows left is the mean Σ_j k_j α_j, since α changes
 // on every update.
 //
+// V is kept only while it fits in vBudget bytes, vBudget/(8u) training
+// rows for u points. Past that the cache drops V and a pass gathers each
+// point's cached column and solves it as PredictBatch does, O(u·n²), so
+// the memory V adds to a cache is bounded whatever the model's size.
+//
 // Predict reproduces PredictBatch bit for bit: the columns hold the
 // values PredictBatch's kernel calls return, in its argument order, a
 // row of V is ForwardSubst4Into's lane arithmetic (mat.ForwardSubstRow),
@@ -32,19 +37,26 @@ import (
 type KStar struct {
 	xs      *mat.Dense // point i is row rows[i] of xs
 	rows    []int
+	vRows   int         // most training rows V is kept for
 	lineage uint64      // lineage the columns were computed for
 	train   *mat.Dense  // training rows of the model last predicted
 	kss     []float64   // k(p_i, p_i); nil until the first Predict
 	cols    [][]float64 // cols[j][i] = k(p_i, x_j)
-	v       [][]float64 // v[j][i] = (L⁻¹K*)[j][i]
-	vv      []float64   // vv[i] = Σ_j v[j][i]², ascending j
+	v       [][]float64 // v[j][i] = (L⁻¹K*)[j][i]; nil past vRows
+	vv      []float64   // vv[i] = Σ_j v[j][i]², ascending j; nil with v
 	out     []Prediction
 }
+
+// vBudget bounds the bytes of a KStar's V: 512 KiB, 66 training rows
+// on the 990 points of the paper's Performance grid.
+const vBudget = 512 << 10
 
 // NewKStar returns an empty cache over the given rows of xs (aliased,
 // not copied: the caller must not mutate them); the first Predict fills
 // it.
-func NewKStar(xs *mat.Dense, rows []int) *KStar { return &KStar{xs: xs, rows: rows} }
+func NewKStar(xs *mat.Dense, rows []int) *KStar {
+	return &KStar{xs: xs, rows: rows, vRows: vBudget / (8 * max(len(rows), 1))}
+}
 
 // Covers reports whether the cached columns are valid for g: g shares
 // the cache's lineage and its leading training rows are, bit for bit,
@@ -85,11 +97,15 @@ func (c *KStar) Predict(g *GP, pts []int32, split func(n int, fn func(lo, hi int
 		c.kss, c.vv = make([]float64, u), make([]float64, u)
 		c.cols, c.v = nil, nil
 	}
+	if n > c.vRows {
+		c.v, c.vv = nil, nil // over budget: solve each pass from here on
+	}
 	from := len(c.cols)
 	for j := from; j < n; j++ {
-		buf := make([]float64, 2*u)
-		c.cols = append(c.cols, buf[:u:u])
-		c.v = append(c.v, buf[u:])
+		c.cols = append(c.cols, make([]float64, u))
+		if c.vv != nil {
+			c.v = append(c.v, make([]float64, u))
+		}
 	}
 	c.train = g.x
 	if from < n {
@@ -102,6 +118,9 @@ func (c *KStar) Predict(g *GP, pts []int32, split func(n int, fn func(lo, hi int
 				if fresh {
 					c.kss[i] = g.kern.Eval(p, p)
 				}
+			}
+			if c.vv == nil {
+				return
 			}
 			for j := from; j < n; j++ {
 				g.chol.ForwardSubstRow(j, c.v, c.cols[j], lo, hi)
@@ -118,6 +137,24 @@ func (c *KStar) Predict(g *GP, pts []int32, split func(n int, fn func(lo, hi int
 		c.out = make([]Prediction, len(pts))
 	}
 	out := c.out[:len(pts)]
+	if c.vv == nil {
+		split(len(pts), func(lo, hi int) {
+			ks := make([]float64, 4*n)
+			for base := lo; base < hi; base += 4 {
+				live := min(4, hi-base)
+				var kss [4]float64
+				for r := 0; r < live; r++ {
+					i := pts[base+r]
+					for j, col := range c.cols {
+						ks[4*j+r] = col[i]
+					}
+					kss[r] = c.kss[i]
+				}
+				g.predictBlock(out[base:base+live], ks, &kss)
+			}
+		})
+		return out
+	}
 	split(len(pts), func(lo, hi int) {
 		// Mean accumulates μ = Σ_j k_j α_j lane by lane, in ascending j.
 		for k := lo; k < hi; k++ {

@@ -17,7 +17,8 @@ import (
 // with a different point all rebuild them, and every prediction
 // matches PredictBatch bit for bit. On a long chain V = L⁻¹K* grows one
 // row per update, several rows at once after unscored updates, and is
-// rebuilt on an ancestor of the cached model.
+// rebuilt on an ancestor of the cached model; a cache whose V budget
+// runs out mid-chain drops V and goes on from its columns alone.
 func TestKStarFollowsLineage(t *testing.T) {
 	grid := mat.New(98, 2)
 	for r := 0; r < 98; r++ {
@@ -56,16 +57,20 @@ func TestKStarFollowsLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewKStar(grid, all)
+	cache, tight := NewKStar(grid, all), NewKStar(grid, all)
+	tight.vRows = 20
 	check := func(step string, m *GP, covered bool) {
 		t.Helper()
-		if c := cache.Covers(m); c != covered {
-			t.Fatalf("%s: Covers = %v, want %v", step, c, covered)
-		}
-		got, want := cache.Predict(m, pts, split), m.PredictBatch(grid)
-		for i := range want {
-			if math.Float64bits(got[i].Mean) != math.Float64bits(want[i].Mean) || math.Float64bits(got[i].SD) != math.Float64bits(want[i].SD) {
-				t.Fatalf("%s: point %d = %+v, PredictBatch %+v", step, i, got[i], want[i])
+		want := m.PredictBatch(grid)
+		for _, c := range []*KStar{cache, tight} {
+			if got := c.Covers(m); got != covered {
+				t.Fatalf("%s: Covers = %v, want %v", step, got, covered)
+			}
+			got := c.Predict(m, pts, split)
+			for i := range want {
+				if math.Float64bits(got[i].Mean) != math.Float64bits(want[i].Mean) || math.Float64bits(got[i].SD) != math.Float64bits(want[i].SD) {
+					t.Fatalf("%s (V for %d rows): point %d = %+v, PredictBatch %+v", step, c.vRows, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -118,6 +123,9 @@ func TestKStarFollowsLineage(t *testing.T) {
 			check(fmt.Sprintf("chain update %d", len(chain)-1), m, true)
 		}
 		next++
+	}
+	if cache.v == nil || tight.v != nil {
+		t.Fatalf("after 60 updates V is kept: %v within budget, %v past it", cache.v != nil, tight.v != nil)
 	}
 	// Three updates without a pass in between: the next pass appends
 	// three rows of V in order.

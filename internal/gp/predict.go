@@ -7,20 +7,6 @@ import (
 	"repro/internal/mat"
 )
 
-// Prediction is the posterior predictive distribution at one input point
-// (paper Eqs. 4–6): Gaussian with the given mean and standard deviation.
-type Prediction struct {
-	Mean float64
-	SD   float64 // standard deviation of the latent function posterior
-}
-
-// CI returns the mean ± z·SD confidence interval bounds; z = 2 gives the
-// ~95% interval drawn in the paper's figures.
-func (p Prediction) CI(z float64) (lo, hi float64) {
-	d := float64(z * p.SD)
-	return p.Mean - d, p.Mean + d
-}
-
 // Predict returns the posterior predictive mean and SD at x
 // (Eqs. 5 and 6): μ* = k*ᵀ Ky⁻¹ y, σ*² = k** − k*ᵀ Ky⁻¹ k*.
 func (g *GP) Predict(x []float64) Prediction {

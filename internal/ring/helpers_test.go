@@ -283,8 +283,13 @@ func leakedCampaignGoroutines() []string {
 	return out
 }
 
+// checkLeaked fails t if a replica still holds candidate rows or a
+// campaign goroutine outlives the cluster.
 func checkLeaked(t *testing.T) {
 	t.Helper()
+	if n := rowRuns.Len(); n != 0 {
+		t.Errorf("%d candidate-row run(s) still held past cluster shutdown", n)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		stacks := leakedCampaignGoroutines()

@@ -3,7 +3,6 @@ package ring
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -158,10 +157,29 @@ func (n *Node) Epoch() uint64 {
 	return n.membership.Epoch
 }
 
-// MarkDead stops the node from shipping to followers. The harness calls
-// it at kill time, before tearing the manager down, so an in-process
-// death sends followers exactly what a real crash would have: nothing.
-func (n *Node) MarkDead() { n.dead.Store(true) }
+// MarkDead stops the node from shipping to followers and drops the
+// replicas it holds for other owners, giving back their shared candidate
+// rows; a dead node takes no new replica. The harness calls it at kill
+// time, before tearing the manager down, so an in-process death sends
+// followers exactly what a real crash would have: nothing.
+func (n *Node) MarkDead() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.dead.Store(true)
+	for id := range n.replicas {
+		n.dropReplica(id)
+	}
+}
+
+// refuseDead answers 503 and reports true when the node is dead. The
+// caller holds n.mu, so no replica lands after MarkDead dropped them.
+func (n *Node) refuseDead(w http.ResponseWriter) bool {
+	if !n.dead.Load() {
+		return false
+	}
+	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": fmt.Sprintf("ring: node %s is down", n.ID)})
+	return true
+}
 
 // InstallMembership adopts a membership view. Epochs only move forward;
 // installing the current epoch again is a no-op refresh.
@@ -299,17 +317,6 @@ type shipRequest struct {
 	Line []byte `json:"line"`
 }
 
-// shipBody renders the JSON of shipRequest{idx, line} byte for byte as
-// json.Marshal does ("line" in standard base64) into a buffer of its
-// own. json.Marshal would leave the buffer that grew to the size of a
-// campaign's header line in its process-wide encoder pool.
-func shipBody(idx int, line []byte) []byte {
-	body := make([]byte, 0, len(`{"idx":,"line":""}`)+20+base64.StdEncoding.EncodedLen(len(line)))
-	body = strconv.AppendInt(append(body, `{"idx":`...), int64(idx), 10)
-	body = base64.StdEncoding.AppendEncode(append(body, `,"line":"`...), line)
-	return append(body, `"}`...)
-}
-
 // handleShip receives one journal record at index Idx. Dedup and gap
 // rules make delivery idempotent: an index already held is acknowledged
 // again without effect, an index that skips ahead is rejected 409 so
@@ -327,6 +334,9 @@ func (n *Node) handleShip(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.refuseDead(w) {
+		return
+	}
 	rep := n.replicas[id]
 	if rep == nil {
 		if req.Idx != 0 {
@@ -366,11 +376,12 @@ func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	}
 	count := bytes.Count(data, []byte("\n"))
 	n.mu.Lock()
-	if old := n.replicas[id]; old != nil {
-		old.drop()
+	defer n.mu.Unlock()
+	if n.refuseDead(w) {
+		return
 	}
+	n.dropReplica(id)
 	n.replicas[id] = newReplica(data, count)
-	n.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]int{"count": count})
 }
 
@@ -699,7 +710,10 @@ func (a *shippingAppender) shipOne(f Member, line []byte) error {
 
 // ship POSTs one record line at index idx to a follower's base URL.
 func (a *shippingAppender) ship(folURL string, line []byte, idx int) error {
-	body := shipBody(idx, line)
+	body, err := json.Marshal(shipRequest{Idx: idx, Line: line})
+	if err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), a.node.shipTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, folURL+"/internal/ship/"+a.id, bytes.NewReader(body))

@@ -3,9 +3,8 @@ package ring
 import (
 	"bytes"
 	"hash/maphash"
-	"slices"
-	"sync"
 
+	"repro/internal/intern"
 	"repro/internal/obs"
 )
 
@@ -95,52 +94,25 @@ func rowsSpan(data []byte) (lo, hi int) {
 // rowRun is one distinct run of candidate-row bytes, shared by every
 // replica in the process that holds it.
 type rowRun struct {
-	b    []byte
-	sum  uint64
-	refs int
+	b   []byte
+	sum uint64
 }
 
 // rowRuns is the process-wide table of rowRuns, keyed by a hash of the
 // bytes and compared byte for byte on a hit.
-var rowRuns = struct {
-	sync.Mutex
-	seed maphash.Seed
-	m    map[uint64][]*rowRun
-	n    int // runs in m
-}{seed: maphash.MakeSeed(), m: map[uint64][]*rowRun{}}
+var (
+	rowRuns    = intern.New[*rowRun](ringRowRuns)
+	rowRunSeed = maphash.MakeSeed()
+)
 
 // internRows returns the shared run holding the bytes of b (copied on
 // the first use), with one more reference.
 func internRows(b []byte) *rowRun {
-	sum := maphash.Bytes(rowRuns.seed, b)
-	rowRuns.Lock()
-	defer rowRuns.Unlock()
-	for _, r := range rowRuns.m[sum] {
-		if bytes.Equal(r.b, b) {
-			r.refs++
-			return r
-		}
-	}
-	r := &rowRun{b: bytes.Clone(b), sum: sum, refs: 1}
-	rowRuns.m[sum] = append(rowRuns.m[sum], r)
-	rowRuns.n++
-	ringRowRuns.Set(float64(rowRuns.n))
+	sum := maphash.Bytes(rowRunSeed, b)
+	r, _ := rowRuns.Get(sum, func(r *rowRun) bool { return bytes.Equal(r.b, b) },
+		func() *rowRun { return &rowRun{b: bytes.Clone(b), sum: sum} })
 	return r
 }
 
 // release drops one reference; the run leaves the table with its last.
-func (r *rowRun) release() {
-	rowRuns.Lock()
-	defer rowRuns.Unlock()
-	if r.refs--; r.refs > 0 {
-		return
-	}
-	list := slices.DeleteFunc(rowRuns.m[r.sum], func(o *rowRun) bool { return o == r })
-	if len(list) == 0 {
-		delete(rowRuns.m, r.sum)
-	} else {
-		rowRuns.m[r.sum] = list
-	}
-	rowRuns.n--
-	ringRowRuns.Set(float64(rowRuns.n))
-}
+func (r *rowRun) release() { rowRuns.Release(r.sum, r) }

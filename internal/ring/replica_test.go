@@ -2,7 +2,7 @@ package ring
 
 import (
 	"bytes"
-	"encoding/json"
+	"net/http"
 	"sync"
 	"testing"
 )
@@ -29,20 +29,6 @@ func TestReplicaRendersImage(t *testing.T) {
 			t.Fatalf("image %q: shared rows = %v, want %v", tc.image, rep.rows != nil, tc.shared)
 		}
 		rep.drop()
-	}
-}
-
-// TestShipBodyMatchesMarshal: the hand-rendered ship request is the
-// bytes json.Marshal gives for it.
-func TestShipBodyMatchesMarshal(t *testing.T) {
-	for i, line := range []string{"\n", "{\"o\":{\"x\":[0.5]}}\n", "<&>\"\\ é\n", string(make([]byte, 1000)) + "\n"} {
-		want, err := json.Marshal(shipRequest{Idx: i * 1000003, Line: []byte(line)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := shipBody(i*1000003, []byte(line)); !bytes.Equal(got, want) {
-			t.Fatalf("line %q: body %s, json.Marshal %s", line, got, want)
-		}
 	}
 }
 
@@ -79,4 +65,40 @@ func TestRowRunsConcurrent(t *testing.T) {
 	if again.rows == held.rows {
 		t.Fatal("the rows stayed in the table after their last holder dropped them")
 	}
+}
+
+// TestKillDropsReplicaRows: a killed follower gives back its replicas'
+// candidate rows, and once the cluster is closed no node holds any, so
+// the process-wide table and its gauge are back to empty.
+func TestKillDropsReplicaRows(t *testing.T) {
+	cl, err := StartCluster(ClusterConfig{Replicas: 3, Replication: 3, Router: testRouterCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{}
+	id := createCampaign(t, client, cl.URL(), clientSpec(7))
+	driveHTTP(t, client, cl.URL(), id, 2)
+	m := cl.Router().Membership()
+	walk := m.ring(0).OwnerN(id, 3)
+	waitReplicasConverged(t, cl, client, id, walk[0], walk[1:])
+	if rowRuns.Len() == 0 {
+		t.Fatal("the followers hold no shared candidate rows")
+	}
+	victim := cl.Node(walk[1])
+	if err := cl.Kill(walk[1]); err != nil {
+		t.Fatal(err)
+	}
+	victim.mu.Lock()
+	held := len(victim.replicas)
+	victim.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("killed follower still holds %d replica(s)", held)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, g := rowRuns.Len(), ringRowRuns.Value(); n != 0 || g != 0 {
+		t.Fatalf("after close the table holds %d row run(s), gauge reads %v", n, g)
+	}
+	checkLeaked(t)
 }

@@ -96,10 +96,10 @@ type Campaign struct {
 	jw       Appender
 	jbreaker *resilience.Breaker
 
-	// cands is the candidate grid, shared through al.ShareGrid with
+	// grid is the candidate grid, shared through al.ShareGrid with
 	// every campaign of the process on the same grid; the actor gives
 	// its reference back on exit.
-	cands    *mat.Dense
+	grid     *al.Grid
 	response string
 	ds       *dataset.Dataset // nil for client-sourced campaigns
 	rows     map[string]int   // x-key → dataset row, dataset source only
@@ -143,7 +143,7 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 	}
 	switch spec.Source {
 	case "client":
-		c.cands = al.ShareGrid(mat.NewFromRows(spec.Candidates))
+		c.grid = al.ShareGrid(mat.NewFromRows(spec.Candidates))
 		c.response = "y"
 		c.Spec.Candidates = nil
 	case "dataset":
@@ -157,12 +157,12 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 		}
 		c.ds = ds
 		c.response = response
-		c.cands = al.ShareGrid(ds.Matrix(all))
+		c.grid = al.ShareGrid(ds.Matrix(all))
 		c.rows = make(map[string]int, ds.Len())
 		for i := ds.Len() - 1; i >= 0; i-- {
 			// First matching row wins on duplicate inputs, so lookup is
 			// deterministic.
-			c.rows[xKey(c.cands.RawRow(i))] = i
+			c.rows[xKey(c.grid.X.RawRow(i))] = i
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown source %q", ErrSpec, spec.Source)
@@ -193,7 +193,7 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 	}
 	cfg, err := c.Spec.loopConfig(c.response)
 	if err != nil {
-		al.ReleaseGrid(c.cands)
+		c.grid.Release()
 		return nil, err
 	}
 	cfg.OnModel = func(m al.Regressor) {
@@ -202,10 +202,11 @@ func newCampaign(id string, spec CampaignSpec, jw Appender, jbreaker *resilience
 	}
 	// A nil rng: the session owns a counting RNG seeded from Spec.Seed,
 	// so its snapshots can record the stream position.
-	if st.sess, err = al.NewSession(c.cands, c.Spec.Seeds, cfg, nil); err != nil {
-		al.ReleaseGrid(c.cands)
+	if st.sess, err = al.NewSession(c.grid.X, c.Spec.Seeds, cfg, nil); err != nil {
+		c.grid.Release()
 		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
+	st.sess.UseGrid(c.grid)
 	go c.actor(st, cfg, info)
 	return c, nil
 }
@@ -220,7 +221,7 @@ func (c *Campaign) actor(st *campaignState, cfg al.LoopConfig, info *JournalInfo
 		if c.jw != nil {
 			c.jw.Close()
 		}
-		al.ReleaseGrid(c.cands)
+		c.grid.Release()
 	}()
 	if info != nil {
 		c.restore(st, cfg, info.Snapshots)
@@ -306,12 +307,13 @@ func (c *Campaign) restore(st *campaignState, cfg al.LoopConfig, snapshots []Sna
 		err := json.Unmarshal(snap.Session, &ck)
 		var sess *al.Session
 		if err == nil {
-			sess, err = al.RestoreSession(c.cands, cfg, &ck)
+			sess, err = al.RestoreSession(c.grid.X, cfg, &ck)
 		}
 		if err != nil {
 			obs.Emit("serve.resume.snapshot.invalid", map[string]any{"campaign": c.ID, "n": snap.N, "err": err.Error()})
 			continue
 		}
+		sess.UseGrid(c.grid)
 		st.sess, st.model, st.modelVersion = sess, sess.Result().Final, snap.ModelVersion
 		st.replay, st.snapN = st.journal[snap.N:], snap.N
 		if len(st.replay) == 0 {

@@ -365,7 +365,7 @@ func (m *Manager) PredictCtx(ctx context.Context, c *Campaign, points [][]float6
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	dims := c.cands.Cols()
+	dims := c.grid.X.Cols()
 	for i, pt := range points {
 		if len(pt) != dims {
 			return PredictResponse{}, fmt.Errorf("%w: point %d has %d dims, campaign has %d", ErrSpec, i, len(pt), dims)

@@ -829,8 +829,8 @@ func TestCampaignsShareGrid(t *testing.T) {
 		}
 		cs = append(cs, c)
 	}
-	if cs[0].cands != cs[1].cands {
-		t.Fatal("two campaigns on one grid hold two matrices")
+	if cs[0].grid != cs[1].grid {
+		t.Fatal("two campaigns on one grid hold two grids")
 	}
 	for _, c := range cs {
 		if err := mgr.Release(c.ID); err != nil {
@@ -839,8 +839,8 @@ func TestCampaignsShareGrid(t *testing.T) {
 	}
 	checkLeaked(t) // both actors have exited
 	probe := al.ShareGrid(mat.NewFromRows(grid))
-	defer al.ReleaseGrid(probe)
-	if probe == cs[0].cands {
+	defer probe.Release()
+	if probe == cs[0].grid {
 		t.Fatal("the grid is still shared after both campaigns closed")
 	}
 }

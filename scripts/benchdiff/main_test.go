@@ -249,12 +249,12 @@ func TestMaxBytesCeilings(t *testing.T) {
 // TestRetainedCeiling: the max_retained check reads retained_B/campaign,
 // not B/op.
 func TestRetainedCeiling(t *testing.T) {
-	ceilings := map[string]float64{"BenchmarkRetainedHeap": 1000}
-	ok := map[string]benchResult{"BenchmarkRetainedHeap": {"B/op": 5000, "retained_B/campaign": 900}}
+	ceilings := map[string]float64{"BenchmarkRetainedHeap/shared": 1000}
+	ok := map[string]benchResult{"BenchmarkRetainedHeap/shared": {"B/op": 5000, "retained_B/campaign": 900}}
 	if err := checkCeilings(ok, ceilings, "retained_B/campaign"); err != nil {
 		t.Fatal(err)
 	}
-	over := map[string]benchResult{"BenchmarkRetainedHeap": {"B/op": 5, "retained_B/campaign": 1001}}
+	over := map[string]benchResult{"BenchmarkRetainedHeap/shared": {"B/op": 5, "retained_B/campaign": 1001}}
 	if err := checkCeilings(over, ceilings, "retained_B/campaign"); err == nil || !strings.Contains(err.Error(), "1001 retained_B/campaign > ceiling 1000") {
 		t.Fatalf("err = %v, want the retained ceiling exceeded", err)
 	}
